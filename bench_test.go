@@ -20,9 +20,10 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/apps"
 	"repro/internal/backend"
-	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/machine"
 	"repro/internal/rules"
@@ -313,87 +314,6 @@ func TestEmitBenchNative(t *testing.T) {
 	}
 }
 
-// BenchmarkBcastAlgorithms is the DESIGN.md ablation of broadcast
-// implementations: the binomial tree the paper's estimates assume, the
-// flat linear tree, and van de Geijn's scatter/allgather ([17]) — at a
-// start-up-dominated small block and a bandwidth-dominated large block.
-func BenchmarkBcastAlgorithms(b *testing.B) {
-	cases := []struct {
-		name   string
-		params machine.Params
-		words  int
-	}{
-		{"startup_small", machine.Params{Ts: 1000, Tw: 1}, 64},
-		{"bandwidth_large", machine.Params{Ts: 10, Tw: 4}, 1 << 16},
-	}
-	for _, cse := range cases {
-		for _, alg := range []coll.BcastAlg{
-			coll.BcastBinomial, coll.BcastLinear, coll.BcastScatterAllGather, coll.BcastPipelined,
-		} {
-			vm := machine.New(16, cse.params)
-			b.Run(cse.name+"/"+alg.String(), func(b *testing.B) {
-				var makespan float64
-				for i := 0; i < b.N; i++ {
-					res := vm.Run(func(pr *machine.Proc) {
-						c := coll.World(pr)
-						x := algebra.Value(algebra.Undef{})
-						if c.Rank() == 0 {
-							x = make(algebra.Vec, cse.words)
-						}
-						coll.BcastWith(c, 0, x, alg)
-					})
-					makespan = res.Makespan
-				}
-				b.ReportMetric(makespan, "vtime")
-			})
-		}
-	}
-}
-
-// BenchmarkClusterCollectives compares flat and hierarchical collectives
-// on a cluster of SMPs under cyclic (adversarial) placement, where the
-// placement-aware hierarchy pays only ceil(log nodes) expensive
-// start-ups.
-func BenchmarkClusterCollectives(b *testing.B) {
-	tp := cluster.Topology{
-		Nodes: 6, Cores: 8,
-		Intra:     machine.Params{Ts: 1, Tw: 1},
-		Inter:     machine.Params{Ts: 10000, Tw: 1},
-		Placement: cluster.Cyclic,
-	}
-	runBody := func(b *testing.B, body func(p *machine.Proc, cs cluster.Comms)) {
-		vm := tp.Machine()
-		var makespan float64
-		for i := 0; i < b.N; i++ {
-			res := vm.Run(func(p *machine.Proc) {
-				body(p, cluster.CommsFor(tp, p))
-			})
-			makespan = res.Makespan
-		}
-		b.ReportMetric(makespan, "vtime")
-	}
-	b.Run("allreduce/flat", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			coll.AllReduce(cs.World, algebra.Add, algebra.Scalar(1))
-		})
-	})
-	b.Run("allreduce/hierarchical", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			cluster.AllReduce(cs, algebra.Add, algebra.Scalar(1))
-		})
-	})
-	b.Run("bcast/flat", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			coll.Bcast(cs.World, 0, algebra.Scalar(1))
-		})
-	})
-	b.Run("bcast/hierarchical", func(b *testing.B) {
-		runBody(b, func(p *machine.Proc, cs cluster.Comms) {
-			cluster.Bcast(cs, algebra.Scalar(1))
-		})
-	})
-}
-
 // BenchmarkApps measures the collective-only applications of
 // internal/apps end to end.
 func BenchmarkApps(b *testing.B) {
@@ -475,9 +395,10 @@ func BenchmarkApps(b *testing.B) {
 	})
 }
 
-// BenchmarkAllReduceAlgorithms compares the butterfly all-reduce (the
-// paper's cost model) against the bandwidth-optimal ring
-// (reduce-scatter + allgather) in both parameter regimes.
+// BenchmarkAllReduceAlgorithms compares every all-reduce algorithm of
+// the portfolio (cost.Algos), run through the one dispatcher sel.Run,
+// against the butterfly of the paper's cost model in both parameter
+// regimes.
 func BenchmarkAllReduceAlgorithms(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -488,14 +409,14 @@ func BenchmarkAllReduceAlgorithms(b *testing.B) {
 		{"bandwidth_large", machine.Params{Ts: 10, Tw: 4}, 1 << 14},
 	}
 	for _, cse := range cases {
-		for _, alg := range []coll.AllReduceAlg{coll.AllReduceButterfly, coll.AllReduceRingAlg} {
+		for _, alg := range cost.Algos(cost.CollAllReduce) {
 			vm := machine.New(16, cse.params)
-			b.Run(cse.name+"/"+alg.String(), func(b *testing.B) {
+			b.Run(cse.name+"/"+string(alg), func(b *testing.B) {
 				var makespan float64
 				for i := 0; i < b.N; i++ {
 					res := vm.Run(func(pr *machine.Proc) {
 						c := coll.World(pr)
-						coll.AllReduceWith(c, algebra.Add, make(algebra.Vec, cse.words), alg)
+						sel.Run(c, cost.CollAllReduce, alg, algebra.Add, make(algebra.Vec, cse.words), 0)
 					})
 					makespan = res.Makespan
 				}

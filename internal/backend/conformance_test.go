@@ -13,7 +13,9 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/machine"
 	"repro/internal/rules"
@@ -130,25 +132,32 @@ func collectiveCases(p int) map[string]func(c coll.Comm, x algebra.Value) algebr
 		},
 	}
 	if p > 1 {
-		// The ring algorithms need at least one vector element per member;
+		// The portfolio algorithms, through the one dispatcher sel.Run.
+		// The chunked ones need at least one vector element per member;
 		// the m=16 blocks below satisfy that up to p=16.
-		cases["allreduce_ring"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRingAlg)
+		portfolio := func(collective string, a cost.Algo) func(c coll.Comm, x algebra.Value) algebra.Value {
+			return func(c coll.Comm, x algebra.Value) algebra.Value {
+				return sel.Run(c, collective, a, algebra.Add, x, 3)
+			}
 		}
-		cases["reduce_scatter"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.ReduceScatter(c, algebra.Add, x)
-		}
-		cases["allreduce_rabenseifner"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRabenseifnerAlg)
-		}
-		cases["reduce_pipelined"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-			return coll.ReduceWith(c, 0, algebra.Add, x, coll.ReducePipelineAlg, 3)
-		}
+		cases["allreduce_ring"] = portfolio(cost.CollAllReduce, cost.AlgoRing)
+		cases["allreduce_rabenseifner"] = portfolio(cost.CollAllReduce, cost.AlgoRabenseifner)
+		cases["reduce_pipelined"] = portfolio(cost.CollReduce, cost.AlgoPipeline)
 		if 2*p <= 16 {
 			// ring-bi needs two vector elements per member.
-			cases["allreduce_ring_bi"] = func(c coll.Comm, x algebra.Value) algebra.Value {
-				return coll.AllReduceWith(c, algebra.Add, x, coll.AllReduceRingBiAlg)
+			cases["allreduce_ring_bi"] = portfolio(cost.CollAllReduce, cost.AlgoRingBi)
+		}
+		// The regular reduce-scatter: equal chunks, the remainder on the
+		// lower ranks.
+		cases["reduce_scatter"] = func(c coll.Comm, x algebra.Value) algebra.Value {
+			counts := make([]int, c.Size())
+			for i := range counts {
+				counts[i] = x.Words() / c.Size()
+				if i < x.Words()%c.Size() {
+					counts[i]++
+				}
 			}
+			return coll.ReduceScatterV(c, algebra.Add, counts, x)
 		}
 	}
 	return cases

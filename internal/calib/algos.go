@@ -8,6 +8,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cost"
 	"repro/internal/exper"
+	"repro/internal/mpbackend"
 )
 
 // AlgoValidation is one (collective, algorithm, group size) record of
@@ -68,7 +69,7 @@ func ValidateAlgos(fit Fit, cfg Config) ([]AlgoValidation, error) {
 	return validateAlgosWith(fit, cfg, func(p int) func(string, cost.Algo, int, int) (float64, float64, error) {
 		nm := backend.New(p)
 		return func(collective string, a cost.Algo, m, segments int) (bfNs, algNs float64, err error) {
-			in := inputsFor(11, p, m)
+			in := mpbackend.SeededInputs(11, p, m)
 			exper.MeasureCollective(nm, collective, a, op, in, segments, 1) // warm-up
 			bfNs = exper.MeasureCollective(nm, collective, cost.AlgoButterfly, op, in, 0, cfg.Reps)
 			algNs = exper.MeasureCollective(nm, collective, a, op, in, segments, cfg.Reps)
@@ -115,7 +116,7 @@ func validateAlgosWith(fit Fit, cfg Config, measurer algoMeasurer) ([]AlgoValida
 		}
 		measureAt := measurer(p)
 		base := cost.Params{Ts: fit.Ts, Tw: fit.Tw, P: p}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, collective := range cost.Collectives() {
 			for _, a := range cost.Algos(collective)[1:] {
 				measure := func(m int) (bfNs, algNs float64, err error) {
 					pp := base

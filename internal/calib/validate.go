@@ -2,12 +2,11 @@ package calib
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exper"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 )
 
@@ -48,16 +47,6 @@ type RuleValidation struct {
 	// condition's verdict matches the measured one — the accuracy of
 	// the cost-guided engine's apply/skip decisions on this machine.
 	Agreement float64 `json:"agreement"`
-}
-
-// inputsFor builds one deterministic m-word block per rank.
-func inputsFor(seed int64, p, m int) []algebra.Value {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]algebra.Value, p)
-	for i := range out {
-		out[i] = vec(rng, m)
-	}
-	return out
 }
 
 // Validate replays every Table 1 rule's left- and right-hand side on the
@@ -106,7 +95,7 @@ func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 		}
 		improves := func(m int) bool {
 			mach := core.Machine{P: p, M: m}
-			in := inputsFor(11, p, m)
+			in := mpbackend.SeededInputs(11, p, m)
 			run(pat.LHS, mach, in) // warm-up, keeps first-run noise out
 			return run(rhs, mach, in) < run(pat.LHS, mach, in)
 		}
@@ -114,7 +103,7 @@ func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 		base := cost.Params{Ts: fit.Ts, Tw: fit.Tw, P: p}
 		for _, m := range ms {
 			mach := core.Machine{P: p, M: m}
-			in := inputsFor(11, p, m)
+			in := mpbackend.SeededInputs(11, p, m)
 			run(pat.LHS, mach, in)
 			lhsNs := run(pat.LHS, mach, in)
 			rhsNs := run(rhs, mach, in)

@@ -22,32 +22,36 @@ import (
 // here: they ship many more envelopes per stage than the butterfly, and
 // their correctness leans on the tag discipline, never on timing.
 
-// portfolioCases enumerates the portfolio with a runner and the smallest
-// block each algorithm accepts at group size p.
+// portfolioCase is one alternative algorithm of the portfolio table, with
+// the smallest block it accepts at group size p and its runner through
+// the one dispatcher.
 type portfolioCase struct {
 	name string
 	minM func(p int) int
 	run  func(c coll.Comm, v algebra.Value) algebra.Value
 }
 
+// portfolioCases enumerates every non-butterfly row of the cost table.
 func portfolioCases() []portfolioCase {
-	return []portfolioCase{
-		{
-			name: "rabenseifner",
-			minM: func(p int) int { return p },
-			run:  func(c coll.Comm, v algebra.Value) algebra.Value { return coll.AllReduceRabenseifner(c, algebra.Add, v) },
-		},
-		{
-			name: "ring-bi",
-			minM: func(p int) int { return 2 * p },
-			run:  func(c coll.Comm, v algebra.Value) algebra.Value { return coll.AllReduceRingBi(c, algebra.Add, v) },
-		},
-		{
-			name: "pipeline",
-			minM: func(int) int { return 1 },
-			run:  func(c coll.Comm, v algebra.Value) algebra.Value { return coll.ReducePipelined(c, algebra.Add, v, 3) },
-		},
+	var out []portfolioCase
+	for _, collective := range cost.Collectives() {
+		for _, a := range cost.Algos(collective)[1:] {
+			out = append(out, portfolioCase{
+				name: string(a),
+				minM: func(p int) int {
+					m := 1
+					for !cost.Applicable(collective, a, cost.Params{P: p, M: m}) {
+						m++
+					}
+					return m
+				},
+				run: func(c coll.Comm, v algebra.Value) algebra.Value {
+					return sel.Run(c, collective, a, algebra.Add, v, 3)
+				},
+			})
+		}
 	}
+	return out
 }
 
 // faultFreeOn runs one collective body on the bare native backend — the

@@ -61,7 +61,7 @@ func RunNativeTransport(t term.Term, p int, prof Profile, seed int64, in []algeb
 	nm.Transport = transport
 	nm.Run(func(pr *backend.Proc) {
 		c := Wrap(pr, prof, seed)
-		out[pr.Rank()] = core.RunStages(c, t, in[pr.Rank()])
+		out[pr.Rank()] = core.RunStagesSelected(c, t, in[pr.Rank()], nil)
 		c.Fence()
 	})
 	return out
@@ -73,7 +73,7 @@ func RunVirtual(t term.Term, p int, prof Profile, seed int64, in []algebra.Value
 	out := make([]algebra.Value, p)
 	VirtualMachine(p).Run(func(pr *machine.Proc) {
 		c := Wrap(coll.World(pr), prof, seed)
-		out[c.Rank()] = core.RunStages(c, t, in[c.Rank()])
+		out[c.Rank()] = core.RunStagesSelected(c, t, in[c.Rank()], nil)
 		c.Fence()
 	})
 	return out

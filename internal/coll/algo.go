@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"repro/internal/algebra"
 )
 
@@ -10,9 +8,9 @@ import (
 // (package coll/sel): the reduce-scatter + allgather all-reduction via
 // recursive halving/doubling (Rabenseifner's algorithm; Träff 2024), the
 // chain-pipelined segmented reduction with a caller-chosen segment count
-// (Lowery & Langou's greedy pipelining), and the bidirectional ring
-// all-reduction that drives both ring directions concurrently (as in the
-// poplibs ring program). All of them split or segment the block, so they
+// (Lowery & Langou's greedy pipelining), and the uni- and bidirectional
+// ring all-reductions — one ring program parameterised by direction, as in
+// the poplibs ring program. All of them split or segment the block, so they
 // require an elementwise base operator on Vec blocks; the cost lines that
 // rank them against the butterfly live in cost/algo.go.
 //
@@ -23,9 +21,9 @@ import (
 
 // chunkBounds returns the offset and size of chunk i when a block of
 // mlen words is split into parts chunks, as evenly as possible with the
-// remainder going to the lower chunks — the same layout ReduceScatter
-// uses, shared so every chunked algorithm and both sides of a transfer
-// agree on it without communication.
+// remainder going to the lower chunks — shared so every chunked
+// algorithm and both sides of a transfer agree on it without
+// communication.
 func chunkBounds(mlen, parts, i int) (off, sz int) {
 	per := mlen / parts
 	rem := mlen % parts
@@ -271,7 +269,7 @@ func (h *ringHalf) sendReduce(s int) { h.c.Send(h.peerOut(), h.acc[h.idx(s+1)], 
 // accumulator (incoming left: it carries the contributions of the ranks
 // behind us in ring order; for the elementwise commutative operators this
 // algorithm targets the order is immaterial, and for non-commutative ones
-// ring order is documented behavior, as in ReduceScatter).
+// ring order is documented behavior).
 func (h *ringHalf) recvReduce(s int) {
 	i := h.idx(s + 2)
 	in := recvValue(h.c, h.peerIn(), h.tag)
@@ -295,6 +293,22 @@ func (h *ringHalf) assemble(dst algebra.Vec) {
 	}
 }
 
+// AllReduceRing computes the all-reduction of Vec blocks with the
+// unidirectional ring: a reduce-scatter in which every chunk travels the
+// ring once, combined as (incoming ⊕ own), followed by a ring allgather
+// of the finished chunks — 2(p−1) steps of m/p words each, total
+// bandwidth ~2m per member: the classic large-block all-reduce. It is the
+// one-direction case of the ring program AllReduceRingBi runs in both
+// directions. The operator must be elementwise and the block must hold at
+// least one word per member.
+func AllReduceRing(c Comm, op *algebra.Op, x Value) Value {
+	vec, ok := x.(algebra.Vec)
+	if !ok || len(vec) < c.Size() {
+		panic("coll: AllReduceRing needs a Vec block with at least one element per member")
+	}
+	return runRings(c, op, vec, +1)
+}
+
 // AllReduceRingBi computes the all-reduction of Vec blocks on the
 // bidirectional ring, as in the poplibs ring program: the block splits
 // into two halves, the clockwise ring carries the lower half and the
@@ -305,80 +319,47 @@ func (h *ringHalf) assemble(dst algebra.Vec) {
 // The operator must be elementwise and the block must hold at least two
 // words per member (one per direction).
 func AllReduceRingBi(c Comm, op *algebra.Op, x Value) Value {
-	n := c.Size()
 	vec, ok := x.(algebra.Vec)
-	if !ok || len(vec) < 2*n {
+	if !ok || len(vec) < 2*c.Size() {
 		panic("coll: AllReduceRingBi needs a Vec block with at least two elements per member")
 	}
+	return runRings(c, op, vec, +1, -1)
+}
+
+// runRings is the ring program: the block splits into one contiguous
+// part per direction in dirs (clockwise first), each part runs its own
+// ringHalf, and every step posts all directions' transfers before waiting
+// on any — the sends are buffered, so a step's transfers are all in
+// flight together and full-duplex links overlap them.
+func runRings(c Comm, op *algebra.Op, vec algebra.Vec, dirs ...int) Value {
+	n := c.Size()
 	if n == 1 {
 		return vec
 	}
-	half := len(vec) / 2
-	cw := newRingHalf(c, op, +1, vec[:half])
-	acw := newRingHalf(c, op, -1, vec[half:])
-	for s := 0; s < n-1; s++ {
-		// Post both directions' sends before receiving either: the sends
-		// are buffered, so the step's four transfers are all in flight
-		// together and full-duplex links overlap them.
-		cw.sendReduce(s)
-		acw.sendReduce(s)
-		cw.recvReduce(s)
-		acw.recvReduce(s)
+	bound := func(i int) int { return i * len(vec) / len(dirs) }
+	rings := make([]*ringHalf, len(dirs))
+	for i, d := range dirs {
+		rings[i] = newRingHalf(c, op, d, vec[bound(i):bound(i+1)])
 	}
 	for s := 0; s < n-1; s++ {
-		cw.sendGather(s)
-		acw.sendGather(s)
-		cw.recvGather(s)
-		acw.recvGather(s)
+		for _, h := range rings {
+			h.sendReduce(s)
+		}
+		for _, h := range rings {
+			h.recvReduce(s)
+		}
+	}
+	for s := 0; s < n-1; s++ {
+		for _, h := range rings {
+			h.sendGather(s)
+		}
+		for _, h := range rings {
+			h.recvGather(s)
+		}
 	}
 	out := arenaVec(arenaOf(c), len(vec))
-	cw.assemble(out[:half])
-	acw.assemble(out[half:])
+	for i, h := range rings {
+		h.assemble(out[bound(i):bound(i+1)])
+	}
 	return out
-}
-
-// Extended all-reduce algorithm choices (the first two are defined in
-// ring.go).
-const (
-	// AllReduceRabenseifnerAlg is reduce-scatter + allgather via
-	// recursive halving/doubling: 2·log p start-ups, ~2m bandwidth.
-	AllReduceRabenseifnerAlg AllReduceAlg = iota + 2
-	// AllReduceRingBiAlg is the bidirectional ring: both directions carry
-	// half the block concurrently.
-	AllReduceRingBiAlg
-)
-
-// ReduceAlg selects a rooted-reduction implementation for ReduceWith.
-type ReduceAlg int
-
-// Rooted-reduction algorithm choices.
-const (
-	// ReduceBinomial is the mirrored binomial tree of §4.1, the
-	// implementation the paper's estimates assume.
-	ReduceBinomial ReduceAlg = iota
-	// ReducePipelineAlg is the chain-pipelined segmented reduction.
-	ReducePipelineAlg
-)
-
-func (a ReduceAlg) String() string {
-	switch a {
-	case ReduceBinomial:
-		return "butterfly"
-	case ReducePipelineAlg:
-		return "pipeline"
-	}
-	return fmt.Sprintf("ReduceAlg(%d)", int(a))
-}
-
-// ReduceWith performs the rooted reduction with the chosen algorithm.
-// segments is the pipeline's segment count (ignored by the binomial
-// tree); cost.PipelineSegments gives the calibrated optimum.
-func ReduceWith(c Comm, root int, op *algebra.Op, x Value, alg ReduceAlg, segments int) Value {
-	if alg == ReducePipelineAlg {
-		if root != 0 {
-			panic("coll: ReducePipelined chains toward the first processor; root must be 0")
-		}
-		return ReducePipelined(c, op, x, segments)
-	}
-	return Reduce(c, root, op, x)
 }

@@ -2,7 +2,6 @@ package coll
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -98,37 +97,23 @@ func TestReducePipelinedAllSizes(t *testing.T) {
 }
 
 // TestReducePipelinedMatchesReduce: bitwise agreement with the binomial
-// tree on integer inputs, via ReduceWith on both paths.
+// tree on integer inputs.
 func TestReducePipelinedMatchesReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	n, m := 6, 13
 	blocks := randBlocks(rng, n, m)
-	run := func(alg ReduceAlg) Value {
+	run := func(pipelined bool) Value {
 		out, _ := runSPMD(n, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return ReduceWith(pr, 0, algebra.Add, blocks[pr.Rank()].Clone(), alg, 4)
+			if pipelined {
+				return ReducePipelined(pr, algebra.Add, blocks[pr.Rank()].Clone(), 4)
+			}
+			return Reduce(pr, 0, algebra.Add, blocks[pr.Rank()].Clone())
 		})
 		return out[0]
 	}
-	tree, pipe := run(ReduceBinomial), run(ReducePipelineAlg)
+	tree, pipe := run(false), run(true)
 	if !algebra.Equal(tree, pipe) {
 		t.Fatalf("pipelined %v differs from binomial %v", pipe, tree)
-	}
-}
-
-// TestAllReduceWithNewAlgorithms: every portfolio member agrees bitwise
-// with the butterfly through the AllReduceWith dispatcher.
-func TestAllReduceWithNewAlgorithms(t *testing.T) {
-	blocks := randBlocks(rand.New(rand.NewSource(306)), 6, 14)
-	want := elementwiseSum(blocks)
-	for _, alg := range []AllReduceAlg{AllReduceButterfly, AllReduceRingAlg, AllReduceRabenseifnerAlg, AllReduceRingBiAlg} {
-		out, _ := runSPMD(6, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, blocks[pr.Rank()].Clone(), alg)
-		})
-		for r, v := range out {
-			if !algebra.Equal(v, want) {
-				t.Fatalf("%s: proc %d = %v, want %v", alg, r, v, want)
-			}
-		}
 	}
 }
 
@@ -140,6 +125,7 @@ func TestAlgoShapePanics(t *testing.T) {
 		{"rabenseifner-short", func(c Comm) { AllReduceRabenseifner(c, algebra.Add, algebra.Vec{1, 2}) }},
 		{"rabenseifner-scalar", func(c Comm) { AllReduceRabenseifner(c, algebra.Add, algebra.Scalar(1)) }},
 		{"ring-bi-short", func(c Comm) { AllReduceRingBi(c, algebra.Add, algebra.Vec{1, 2, 3}) }},
+		{"ring-scalar", func(c Comm) { AllReduceRing(c, algebra.Add, algebra.Scalar(1)) }},
 		{"pipeline-scalar", func(c Comm) { ReducePipelined(c, algebra.Add, algebra.Scalar(1), 2) }},
 	}
 	for _, tc := range cases {
@@ -155,42 +141,20 @@ func TestAlgoShapePanics(t *testing.T) {
 	}
 }
 
-func TestReduceWithNonZeroRootPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	vm := machine.New(4, machine.Params{})
-	vm.Run(func(proc *machine.Proc) {
-		ReduceWith(World(proc), 1, algebra.Add, make(algebra.Vec, 8), ReducePipelineAlg, 2)
-	})
-}
-
-func TestReduceAlgString(t *testing.T) {
-	if ReduceBinomial.String() != "butterfly" || ReducePipelineAlg.String() != "pipeline" {
-		t.Fatal("algorithm names")
-	}
-	if !strings.Contains(ReduceAlg(9).String(), "9") {
-		t.Fatal("unknown algorithm name")
-	}
-	if AllReduceRabenseifnerAlg.String() != "rabenseifner" || AllReduceRingBiAlg.String() != "ring-bi" {
-		t.Fatal("extended allreduce names")
-	}
-}
-
 // TestRabenseifnerBeatsButterflyOnLargeBlocks: the model-level claim —
 // 2·log p start-ups but ~2m bandwidth — holds on the virtual machine.
 func TestRabenseifnerBeatsButterflyOnLargeBlocks(t *testing.T) {
 	params := machine.Params{Ts: 10, Tw: 4}
 	p, m := 16, 1<<14
-	run := func(alg AllReduceAlg) float64 {
+	makespan := func(body func(c Comm, x Value) Value) float64 {
 		_, res := runSPMD(p, params, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
+			return body(pr, make(algebra.Vec, m))
 		})
 		return res.Makespan
 	}
-	if rab, bf := run(AllReduceRabenseifnerAlg), run(AllReduceButterfly); rab >= bf {
+	rab := makespan(func(c Comm, x Value) Value { return AllReduceRabenseifner(c, algebra.Add, x) })
+	bf := makespan(func(c Comm, x Value) Value { return AllReduce(c, algebra.Add, x) })
+	if rab >= bf {
 		t.Fatalf("rabenseifner (%g) should beat butterfly (%g) on large blocks", rab, bf)
 	}
 }

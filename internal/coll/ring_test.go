@@ -2,7 +2,6 @@ package coll
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -31,58 +30,57 @@ func elementwiseSum(blocks []algebra.Vec) algebra.Vec {
 	return out
 }
 
+// ringReduceScatter runs only the reduce-scatter phase of the ring
+// program in direction d and returns this member's finished chunk.
+func ringReduceScatter(c Comm, op *algebra.Op, d int, vec algebra.Vec) algebra.Vec {
+	h := newRingHalf(c, op, d, vec)
+	for s := 0; s < c.Size()-1; s++ {
+		h.sendReduce(s)
+		h.recvReduce(s)
+	}
+	return h.acc[c.Rank()]
+}
+
+// reduceScatterFlat runs the ring reduce-scatter on every member and
+// concatenates the finished chunks in rank order.
+func reduceScatterFlat(n int, op *algebra.Op, d int, blocks []algebra.Vec) algebra.Vec {
+	out, _ := runSPMD(n, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
+		return ringReduceScatter(pr, op, d, blocks[pr.Rank()].Clone())
+	})
+	var flat algebra.Vec
+	for _, v := range out {
+		flat = append(flat, v.(algebra.Vec)...)
+	}
+	return flat
+}
+
+// TestReduceScatterAllSizes: after the ring's reduce-scatter phase, in
+// either direction, member i holds chunk i of the elementwise reduction.
 func TestReduceScatterAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 13, 16} {
 		m := 2*n + 3 // remainder chunks exercised
 		blocks := randBlocks(rng, n, m)
 		want := elementwiseSum(blocks)
-		vm := machine.New(n, machine.Params{Ts: 4, Tw: 1})
-		got := make([]algebra.Vec, n)
-		vm.Run(func(proc *machine.Proc) {
-			c := World(proc)
-			v := ReduceScatter(c, algebra.Add, blocks[proc.Rank()].Clone())
-			got[proc.Rank()] = v.(algebra.Vec)
-		})
-		// Concatenate the chunks in rank order and compare.
-		var flat algebra.Vec
-		for _, g := range got {
-			flat = append(flat, g...)
-		}
-		if !algebra.Equal(flat, want) {
-			t.Fatalf("p=%d: reduce-scatter = %v, want %v", n, flat, want)
+		for _, d := range []int{+1, -1} {
+			if got := reduceScatterFlat(n, algebra.Add, d, blocks); !algebra.Equal(got, want) {
+				t.Fatalf("p=%d d=%d: reduce-scatter = %v, want %v", n, d, got, want)
+			}
 		}
 	}
 }
 
 func TestReduceScatterMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
 	n, m := 6, 12
-	blocks := randBlocks(rng, n, m)
-	want := append(algebra.Vec(nil), blocks[0]...)
-	for _, b := range blocks[1:] {
-		for j := range want {
-			if b[j] > want[j] {
-				want[j] = b[j]
-			}
-		}
-	}
-	vm := machine.New(n, machine.Params{Ts: 4, Tw: 1})
-	var flatMu [16]algebra.Vec
-	vm.Run(func(proc *machine.Proc) {
-		c := World(proc)
-		v := ReduceScatter(c, algebra.Max, blocks[proc.Rank()].Clone())
-		flatMu[proc.Rank()] = v.(algebra.Vec)
-	})
-	var flat algebra.Vec
-	for i := 0; i < n; i++ {
-		flat = append(flat, flatMu[i]...)
-	}
-	if !algebra.Equal(flat, want) {
-		t.Fatalf("max reduce-scatter = %v, want %v", flat, want)
+	blocks := randBlocks(rand.New(rand.NewSource(202)), n, m)
+	want := elementwiseMax(blocks)
+	if got := reduceScatterFlat(n, algebra.Max, +1, blocks); !algebra.Equal(got, want) {
+		t.Fatalf("max reduce-scatter = %v, want %v", got, want)
 	}
 }
 
+// TestReduceScatterRejectsSmallBlocks: the ring splits the block into one
+// chunk per member, so a shorter block is a caller error.
 func TestReduceScatterRejectsSmallBlocks(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -91,7 +89,7 @@ func TestReduceScatterRejectsSmallBlocks(t *testing.T) {
 	}()
 	vm := machine.New(4, machine.Params{})
 	vm.Run(func(proc *machine.Proc) {
-		ReduceScatter(World(proc), algebra.Add, algebra.Vec{1, 2})
+		AllReduceRing(World(proc), algebra.Add, algebra.Vec{1, 2})
 	})
 }
 
@@ -112,16 +110,33 @@ func TestAllReduceRingAllSizes(t *testing.T) {
 	}
 }
 
-func TestAllReduceWithSelectsAlgorithm(t *testing.T) {
-	blocks := randBlocks(rand.New(rand.NewSource(204)), 4, 8)
-	want := elementwiseSum(blocks)
-	for _, alg := range []AllReduceAlg{AllReduceButterfly, AllReduceRingAlg} {
-		out, _ := runSPMD(4, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, blocks[pr.Rank()].Clone(), alg)
+// TestAllReduceRingCombineOrder pins the ring order of the combines with
+// an associative but non-commutative elementwise operator: x ⊕ y = x
+// keeps the leftmost operand. Chunk i starts at member i+1, travels the
+// ring and is folded as (incoming ⊕ own) at every hop, so it finishes as
+// member (i+1) mod p's chunk i.
+func TestAllReduceRingCombineOrder(t *testing.T) {
+	first := algebra.NewBase("first", func(x, y float64) float64 { return x })
+	for _, n := range []int{2, 3, 4, 7} {
+		m := 2*n + 1
+		blocks := make([]algebra.Vec, n)
+		for r := range blocks {
+			blocks[r] = make(algebra.Vec, m)
+			for j := range blocks[r] {
+				blocks[r][j] = float64(100*r + j)
+			}
+		}
+		want := make(algebra.Vec, m)
+		for i := 0; i < n; i++ {
+			off, sz := chunkBounds(m, n, i)
+			copy(want[off:off+sz], blocks[(i+1)%n][off:off+sz])
+		}
+		out, _ := runSPMD(n, machine.Params{Ts: 4, Tw: 1}, func(pr Comm) Value {
+			return AllReduceRing(pr, first, blocks[pr.Rank()].Clone())
 		})
 		for r, v := range out {
 			if !algebra.Equal(v, want) {
-				t.Fatalf("%s: proc %d = %v, want %v", alg, r, v, want)
+				t.Fatalf("p=%d: proc %d = %v, want %v", n, r, v, want)
 			}
 		}
 	}
@@ -129,37 +144,24 @@ func TestAllReduceWithSelectsAlgorithm(t *testing.T) {
 
 // TestRingBeatsButterflyOnLargeBlocks: ~2m bandwidth against m·log p.
 func TestRingBeatsButterflyOnLargeBlocks(t *testing.T) {
-	params := machine.Params{Ts: 10, Tw: 4}
-	p, m := 16, 1<<14
-	run := func(alg AllReduceAlg) float64 {
+	makespan := func(params machine.Params, p, m int, ring bool) float64 {
 		_, res := runSPMD(p, params, func(pr Comm) Value {
-			return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
+			if ring {
+				return AllReduceRing(pr, algebra.Add, make(algebra.Vec, m))
+			}
+			return AllReduce(pr, algebra.Add, make(algebra.Vec, m))
 		})
 		return res.Makespan
 	}
-	if ring, bf := run(AllReduceRingAlg), run(AllReduceButterfly); ring >= bf {
+	params := machine.Params{Ts: 10, Tw: 4}
+	p, m := 16, 1<<14
+	if ring, bf := makespan(params, p, m, true), makespan(params, p, m, false); ring >= bf {
 		t.Fatalf("ring (%g) should beat butterfly (%g) on large blocks", ring, bf)
 	}
 	// And the butterfly wins the start-up-dominated regime.
 	params = machine.Params{Ts: 10000, Tw: 1}
 	m = 64
-	if ring, bf := run2(params, p, m, AllReduceRingAlg), run2(params, p, m, AllReduceButterfly); bf >= ring {
+	if ring, bf := makespan(params, p, m, true), makespan(params, p, m, false); bf >= ring {
 		t.Fatalf("butterfly (%g) should beat ring (%g) on small blocks", bf, ring)
-	}
-}
-
-func run2(params machine.Params, p, m int, alg AllReduceAlg) float64 {
-	_, res := runSPMD(p, params, func(pr Comm) Value {
-		return AllReduceWith(pr, algebra.Add, make(algebra.Vec, m), alg)
-	})
-	return res.Makespan
-}
-
-func TestAllReduceAlgString(t *testing.T) {
-	if AllReduceButterfly.String() != "butterfly" || AllReduceRingAlg.String() != "ring" {
-		t.Fatal("algorithm names")
-	}
-	if !strings.Contains(AllReduceAlg(7).String(), "7") {
-		t.Fatal("unknown algorithm name")
 	}
 }

@@ -2,10 +2,11 @@
 // eligible reduction stage of a program, the cheapest collective algorithm
 // from the calibrated portfolio (cost/algo.go) at that stage's (p, m) —
 // turning the rule engine's target shape from "the butterfly form" into
-// "the best-known form on this machine". Selections are pure data: the
-// executor (core.RunStagesSelected) dispatches on them, the serving layer
-// records them in plans and cache keys, and collbench sweeps them against
-// measurements.
+// "the best-known form on this machine". Selections are pure data: Run is
+// the one place a chosen algorithm executes (for the stage executor
+// core.RunStagesSelected, the wall-clock sweeps and the multi-process
+// bodies alike), the serving layer records selections in plans and cache
+// keys, and collbench sweeps them against measurements.
 //
 // Only unbalanced reductions over elementwise base operators are eligible
 // (cost.SelectableReduce): every portfolio alternative splits or segments
@@ -18,6 +19,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/algebra"
+	"repro/internal/coll"
 	"repro/internal/cost"
 	"repro/internal/term"
 )
@@ -69,6 +72,42 @@ func Choose(collective string, p cost.Params) Selection {
 	return s
 }
 
+// Run executes one collective with algorithm a on this member's block v:
+// the execution side of the portfolio table in cost/algo.go. A rooted
+// reduction leaves its result on the first processor. segments is the
+// pipeline's segment count; the other algorithms ignore it. Run falls back
+// to the butterfly whenever the run-time shape fails the algorithm's
+// requirement (cost.Applicable on this group and block size) or the block
+// is not a Vec under an elementwise operator. The check is on the local
+// value, so SPMD callers must feed uniformly shaped blocks — the same
+// contract the collectives themselves have.
+func Run(c coll.Comm, collective string, a cost.Algo, op *algebra.Op, v algebra.Value, segments int) algebra.Value {
+	if a != cost.AlgoButterfly {
+		vec, ok := v.(algebra.Vec)
+		if !ok || op.Elem == nil || !cost.Applicable(collective, a, cost.Params{P: c.Size(), M: len(vec)}) {
+			a = cost.AlgoButterfly
+		}
+	}
+	switch a {
+	case cost.AlgoButterfly:
+		switch collective {
+		case cost.CollAllReduce:
+			return coll.AllReduce(c, op, v)
+		case cost.CollReduce:
+			return coll.Reduce(c, 0, op, v)
+		}
+	case cost.AlgoRabenseifner:
+		return coll.AllReduceRabenseifner(c, op, v)
+	case cost.AlgoRing:
+		return coll.AllReduceRing(c, op, v)
+	case cost.AlgoRingBi:
+		return coll.AllReduceRingBi(c, op, v)
+	case cost.AlgoPipeline:
+		return coll.ReducePipelined(c, op, v, segments)
+	}
+	panic(fmt.Sprintf("sel: no implementation of %s for collective %q", a, collective))
+}
+
 // ForTerm walks the flattened stages of t, tracking the per-processor
 // block size the way cost.OfTerm does (gather/scatter reshape it), and
 // returns a Selection for every eligible reduction stage — including
@@ -76,32 +115,18 @@ func Choose(collective string, p cost.Params) Selection {
 // decision. A nil result means no stage was eligible.
 func ForTerm(t term.Term, p cost.Params) []Selection {
 	var out []Selection
-	idx := 0
-	walk(t, p, float64(p.M), &idx, &out)
-	return out
-}
-
-func walk(t term.Term, p cost.Params, b float64, idx *int, out *[]Selection) float64 {
-	for _, stage := range term.Stages(t) {
-		if s, ok := stage.(term.Seq); ok {
-			b = walk(s, p, b, idx, out)
-			continue
-		}
+	b := float64(p.M)
+	for idx, stage := range term.Stages(t) {
 		if r, ok := stage.(term.Reduce); ok && cost.SelectableReduce(r) {
-			collective := cost.CollReduce
-			if r.All {
-				collective = cost.CollAllReduce
-			}
 			pp := p
 			pp.M = int(math.Round(b))
-			s := Choose(collective, pp)
-			s.Stage = *idx
-			*out = append(*out, s)
+			s := Choose(cost.ReduceCollective(r), pp)
+			s.Stage = idx
+			out = append(out, s)
 		}
 		_, b = cost.StageCost(stage, p, b)
-		*idx++
 	}
-	return b
+	return out
 }
 
 // Total sums the predicted costs of the selections — the portfolio's

@@ -64,7 +64,7 @@ func TestBreakEvenMatchesLinearScan(t *testing.T) {
 	for _, p := range []int{4, 7, 8, 16} {
 		base := calibrated
 		base.P = p
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, collective := range cost.Collectives() {
 			for _, a := range cost.Algos(collective)[1:] {
 				got := cost.BreakEven(collective, a, base, 1<<13)
 				want := 0
@@ -100,7 +100,7 @@ func TestChooseNeverWorseThanButterfly(t *testing.T) {
 			P:  1 + rng.Intn(64),
 			M:  1 + rng.Intn(1<<15),
 		}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, collective := range cost.Collectives() {
 			s := Choose(collective, p)
 			if s.Predicted > s.Butterfly {
 				t.Fatalf("%s %+v: %s predicted %.1f > butterfly %.1f", collective, p, s.Algo, s.Predicted, s.Butterfly)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/term"
@@ -57,26 +58,47 @@ func Exec(t term.Term, vm *machine.Machine, input []algebra.Value) ([]algebra.Va
 	}
 	out := make([]algebra.Value, vm.P)
 	res := vm.Run(func(p *machine.Proc) {
-		out[p.Rank()] = RunStages(coll.World(p), t, input[p.Rank()])
+		out[p.Rank()] = RunStagesSelected(coll.World(p), t, input[p.Rank()], nil)
 	})
 	return out, res
 }
 
-// RunStages executes the stages of t over an arbitrary communicator —
-// the backend-generic heart of the executor. It is called once per group
-// member from inside an SPMD body (Exec does so on the virtual machine,
-// ExecNative on the native backend), threading the member's value through
-// every stage. Stage boundaries are marked when the communicator records
-// them.
-func RunStages(c coll.Comm, t term.Term, v algebra.Value) algebra.Value {
+// RunStagesSelected executes the stages of t over an arbitrary
+// communicator — the backend-generic heart of the executor, and its only
+// stage walker. It is called once per group member from inside an SPMD
+// body (Exec on the virtual machine, ExecNative on the native backend),
+// threading the member's value through every stage and marking stage
+// boundaries when the communicator records them. A selectable reduction
+// stage whose flattened index carries a selection (from sel.ForTerm,
+// typically via Optimization.Selection) runs the chosen algorithm through
+// sel.Run, which falls back to the butterfly when the run-time block does
+// not fit the algorithm; every other stage, and every stage of a run with
+// nil selections, executes its §4.1 collective.
+func RunStagesSelected(c coll.Comm, t term.Term, v algebra.Value, sels []sel.Selection) algebra.Value {
 	mk, _ := c.(coll.Marker)
-	for _, s := range term.Stages(t) {
+	for idx, s := range term.Stages(t) {
 		if mk != nil {
 			mk.Mark(s.String())
+		}
+		if r, ok := s.(term.Reduce); ok && cost.SelectableReduce(r) {
+			if choice, ok := selectionAt(sels, idx); ok {
+				v = sel.Run(c, cost.ReduceCollective(r), choice.Algo, r.Op, v, choice.Segments)
+				continue
+			}
 		}
 		v = execStage(s, c, v)
 	}
 	return v
+}
+
+// selectionAt finds the selection addressing stage idx.
+func selectionAt(sels []sel.Selection, idx int) (sel.Selection, bool) {
+	for _, s := range sels {
+		if s.Stage == idx {
+			return s, true
+		}
+	}
+	return sel.Selection{}, false
 }
 
 func execStage(s term.Term, c coll.Comm, v algebra.Value) algebra.Value {

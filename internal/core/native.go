@@ -19,7 +19,7 @@ func ExecNative(t term.Term, nm *backend.Machine, input []algebra.Value) ([]alge
 	}
 	out := make([]algebra.Value, nm.P)
 	res := nm.Run(func(p *backend.Proc) {
-		out[p.Rank()] = RunStages(p, t, input[p.Rank()])
+		out[p.Rank()] = RunStagesSelected(p, t, input[p.Rank()], nil)
 	})
 	return out, res
 }

@@ -109,8 +109,8 @@ type Optimization struct {
 	// EstimateBefore and EstimateAfter are cost estimates of the whole
 	// program on the target machine.
 	EstimateBefore, EstimateAfter float64
-	// Search carries the plan-search statistics when the optimization was
-	// produced by OptimizeSearch/OptimizeSearchVerified; nil for greedy.
+	// Search carries the plan-search statistics when the optimization ran
+	// the global plan search (OptimizeOptions.Search); nil for greedy.
 	Search *rules.SearchStats
 	// Selection records the per-stage algorithm choices when the
 	// optimization ran with auto-selection (OptimizeOptions.Auto); the
@@ -217,35 +217,6 @@ func (p Program) Optimize(m Machine) Optimization {
 func (p Program) OptimizeWith(m Machine, reg *algebra.Registry) Optimization {
 	o, _ := p.OptimizeOpts(m, OptimizeOptions{Registry: reg})
 	return o
-}
-
-// OptimizeVerified is Optimize followed by verification: every rule
-// application and the end-to-end equality of the original and optimized
-// program are checked under the functional semantics before the result
-// is returned. This is the plan-cache entry point of the optimization
-// service (package serve) — a cached plan is a verified plan.
-func (p Program) OptimizeVerified(m Machine, cfg rules.VerifyConfig) (Optimization, error) {
-	return p.OptimizeOpts(m, OptimizeOptions{Verify: true, VerifyConfig: cfg})
-}
-
-// OptimizeSearch rewrites the program with the global plan search
-// (rules.SearchOptimize): a bounded branch-and-bound exploration of all
-// rule-application sequences scored by the end-to-end cost estimate,
-// never worse than the greedy Optimize and strictly better where the
-// greedy window heuristic forfeits a cheaper derivation downstream. The
-// zero SearchConfig selects the default budgets.
-func (p Program) OptimizeSearch(m Machine, scfg rules.SearchConfig) Optimization {
-	o, _ := p.OptimizeOpts(m, OptimizeOptions{Search: true, SearchConfig: scfg})
-	return o
-}
-
-// OptimizeSearchVerified is OptimizeSearch followed by verification of
-// every rule application of the winning derivation and of the end-to-end
-// equality of the original and optimized program — the searched
-// counterpart of OptimizeVerified, and the plan-cache entry point for
-// the search strategy (package serve).
-func (p Program) OptimizeSearchVerified(m Machine, cfg rules.VerifyConfig, scfg rules.SearchConfig) (Optimization, error) {
-	return p.OptimizeOpts(m, OptimizeOptions{Search: true, SearchConfig: scfg, Verify: true, VerifyConfig: cfg})
 }
 
 // Canonical renders the program in the stable canonical surface syntax

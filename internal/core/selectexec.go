@@ -5,94 +5,8 @@ import (
 	"repro/internal/backend"
 	"repro/internal/coll"
 	"repro/internal/coll/sel"
-	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/term"
 )
-
-// This file is the execution side of the algorithm-selection layer: it
-// runs a program like RunStages, but dispatches every selected reduction
-// stage to the chosen portfolio algorithm (coll/algo.go) instead of the
-// butterfly. Selections come from sel.ForTerm — typically via
-// Optimization.Selection — and address stages by flattened index, the
-// same numbering ForTerm produced them under.
-
-// RunStagesSelected executes the stages of t over the communicator,
-// honoring the algorithm selections: a stage whose index carries a
-// selection runs the chosen algorithm. Every other stage executes exactly
-// as RunStages. A selection predicted for a block shape the run-time
-// value does not satisfy (e.g. fewer words than group members) falls back
-// to the butterfly; the check is on the rank's local value, so SPMD
-// callers must feed uniformly shaped blocks — the same contract the
-// collectives themselves have.
-func RunStagesSelected(c coll.Comm, t term.Term, v algebra.Value, sels []sel.Selection) algebra.Value {
-	if len(sels) == 0 {
-		return RunStages(c, t, v)
-	}
-	byStage := make(map[int]sel.Selection, len(sels))
-	for _, s := range sels {
-		byStage[s.Stage] = s
-	}
-	mk, _ := c.(coll.Marker)
-	idx := 0
-	var walk func(t term.Term, v algebra.Value) algebra.Value
-	walk = func(t term.Term, v algebra.Value) algebra.Value {
-		for _, s := range term.Stages(t) {
-			if sq, ok := s.(term.Seq); ok {
-				v = walk(sq, v)
-				continue
-			}
-			if mk != nil {
-				mk.Mark(s.String())
-			}
-			if r, ok := s.(term.Reduce); ok {
-				if choice, sel := byStage[idx]; sel && choice.Algo != cost.AlgoButterfly {
-					v = execSelectedReduce(c, r, v, choice)
-					idx++
-					continue
-				}
-			}
-			v = execStage(s, c, v)
-			idx++
-		}
-		return v
-	}
-	return walk(t, v)
-}
-
-// execSelectedReduce dispatches one reduction to the selected algorithm,
-// or to the butterfly when the run-time value fails the algorithm's
-// shape requirement.
-func execSelectedReduce(c coll.Comm, r term.Reduce, v algebra.Value, s sel.Selection) algebra.Value {
-	vec, isVec := v.(algebra.Vec)
-	n := c.Size()
-	ok := isVec
-	switch s.Algo {
-	case cost.AlgoRabenseifner, cost.AlgoRing:
-		ok = ok && len(vec) >= n && r.All
-	case cost.AlgoRingBi:
-		ok = ok && len(vec) >= 2*n && r.All
-	case cost.AlgoPipeline:
-		ok = ok && len(vec) >= 1 && !r.All
-	default:
-		ok = false
-	}
-	if !ok {
-		if r.All {
-			return coll.AllReduce(c, r.Op, v)
-		}
-		return coll.Reduce(c, 0, r.Op, v)
-	}
-	switch s.Algo {
-	case cost.AlgoRabenseifner:
-		return coll.AllReduceRabenseifner(c, r.Op, v)
-	case cost.AlgoRing:
-		return coll.AllReduceRing(c, r.Op, v)
-	case cost.AlgoRingBi:
-		return coll.AllReduceRingBi(c, r.Op, v)
-	}
-	return coll.ReducePipelined(c, r.Op, v, s.Segments)
-}
 
 // RunSelected executes the program on the virtual machine honoring the
 // algorithm selections (typically Optimization.Selection from an

@@ -99,6 +99,33 @@ func TestRunSelectedFallback(t *testing.T) {
 	}
 }
 
+// TestRunSelectedIgnoresMismatchedSelections: a selection runs only on a
+// selectable reduction and only as the stage's own collective. Naming the
+// all-reduce ring on a rooted reduction, or any algorithm on a balanced
+// one, leaves the stage on its §4.1 collective: same results, same
+// traffic as the plain run.
+func TestRunSelectedIgnoresMismatchedSelections(t *testing.T) {
+	mach := Machine{Ts: 10, Tw: 1, P: 4, M: 32}
+	in := vecInput(4, 32)
+	for _, prog := range []Program{
+		NewProgram().Reduce(algebra.Add),
+		NewProgram().AllReduceBalanced(algebra.Add),
+	} {
+		sels := []sel.Selection{{Stage: 0, Collective: cost.CollAllReduce, Algo: cost.AlgoRing}}
+		got, gotRes := prog.RunSelected(mach, in, sels)
+		want, wantRes := prog.Run(mach, in)
+		for r := range want {
+			if !algebra.Equal(got[r], want[r]) {
+				t.Fatalf("%s rank %d: %v, want %v", prog, r, got[r], want[r])
+			}
+		}
+		if gotRes.Messages != wantRes.Messages || gotRes.Words != wantRes.Words {
+			t.Errorf("%s: traffic %d msgs/%d words, plain run %d/%d", prog,
+				gotRes.Messages, gotRes.Words, wantRes.Messages, wantRes.Words)
+		}
+	}
+}
+
 // TestRunSelectedEmptySelections routes through the plain executor.
 func TestRunSelectedEmptySelections(t *testing.T) {
 	prog := NewProgram().Scan(algebra.Add)

@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/term"
@@ -49,27 +48,75 @@ const (
 	CollReduce    = "reduce"
 )
 
-// ParseAlgo resolves an algorithm name; the empty string means butterfly.
-func ParseAlgo(s string) (Algo, error) {
-	switch Algo(s) {
-	case "", AlgoButterfly:
-		return AlgoButterfly, nil
-	case AlgoRabenseifner, AlgoRing, AlgoRingBi, AlgoPipeline:
-		return Algo(s), nil
+// algoSpec is one row of the portfolio: an algorithm for one collective,
+// the block shape it needs and its closed-form cost line. The row is the
+// algorithm's whole identity — §4.1 says the estimate "must be repeated"
+// for every implementation, so an implementation is named by its line —
+// and coll/sel.Run is the one place that executes it.
+type algoSpec struct {
+	collective string
+	algo       Algo
+	// perMember is the number of block words each group member must at
+	// least receive: the chunked algorithms split the block across the
+	// group (ring-bi across the group twice, once per direction). Every
+	// alternative to the butterfly also needs p ≥ 2 and a non-empty block.
+	perMember int
+	// line is the cost at parameters p; see AlgoCost for the formulas.
+	line func(p Params) float64
+}
+
+// algoTable is the portfolio, each collective's butterfly first.
+var algoTable = []algoSpec{
+	{CollAllReduce, AlgoButterfly, 0, Reduce},
+	{CollAllReduce, AlgoRabenseifner, 1, rabenseifnerCost},
+	{CollAllReduce, AlgoRing, 1, func(p Params) float64 { return ringCost(p, 2) }},
+	{CollAllReduce, AlgoRingBi, 2, func(p Params) float64 { return ringCost(p, 1) }},
+	{CollReduce, AlgoButterfly, 0, Reduce},
+	{CollReduce, AlgoPipeline, 0, func(p Params) float64 { return pipelineCost(p, PipelineSegments(p)) }},
+}
+
+// Collectives lists the collectives the portfolio covers, in table order.
+func Collectives() []string {
+	var out []string
+	for _, s := range algoTable {
+		if len(out) == 0 || out[len(out)-1] != s.collective {
+			out = append(out, s.collective)
+		}
 	}
-	return "", fmt.Errorf("unknown algorithm %q", s)
+	return out
 }
 
 // Algos lists the candidate algorithms for a collective, baseline first.
 // Unknown collectives have only the butterfly.
 func Algos(collective string) []Algo {
-	switch collective {
-	case CollAllReduce:
-		return []Algo{AlgoButterfly, AlgoRabenseifner, AlgoRing, AlgoRingBi}
-	case CollReduce:
-		return []Algo{AlgoButterfly, AlgoPipeline}
+	var out []Algo
+	for _, s := range algoTable {
+		if s.collective == collective {
+			out = append(out, s.algo)
+		}
 	}
-	return []Algo{AlgoButterfly}
+	if out == nil {
+		return []Algo{AlgoButterfly}
+	}
+	return out
+}
+
+// lookup finds the table row of (collective, a).
+func lookup(collective string, a Algo) (*algoSpec, bool) {
+	for i := range algoTable {
+		if s := &algoTable[i]; s.collective == collective && s.algo == a {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// ReduceCollective names the collective a reduction stage performs.
+func ReduceCollective(r term.Reduce) string {
+	if r.All {
+		return CollAllReduce
+	}
+	return CollReduce
 }
 
 // PipelineSegments is the Lowery–Langou segment-count choice for the
@@ -109,36 +156,23 @@ func pipelineCost(p Params, k int) float64 {
 }
 
 // Applicable reports whether the algorithm can run the collective at the
-// given group and block size, independent of the operator. The chunked
-// algorithms (rabenseifner, ring, ring-bi) split the block across the
-// group and need at least one word per member; they additionally require
-// an elementwise base operator, which is the caller's side condition
-// (see coll/sel) — a derived tuple operator combines whole tuples and
-// cannot be applied chunkwise.
+// given group and block size, independent of the operator: the butterfly
+// always can; an alternative needs its table row, p ≥ 2 and a block of at
+// least max(1, perMember·p) words. The alternatives additionally require
+// an elementwise base operator, which is the caller's side condition (see
+// coll/sel) — a derived tuple operator combines whole tuples and cannot
+// be applied chunkwise.
 func Applicable(collective string, a Algo, p Params) bool {
 	if a == AlgoButterfly {
 		return true
 	}
-	found := false
-	for _, cand := range Algos(collective) {
-		if cand == a {
-			found = true
-		}
-	}
-	if !found || p.P < 2 {
-		return false
-	}
-	switch a {
-	case AlgoRabenseifner, AlgoRing:
-		return p.M >= p.P
-	case AlgoRingBi:
-		// Each direction carries half the block: one word per member and
-		// direction.
-		return p.M >= 2*p.P
-	case AlgoPipeline:
-		return p.M >= 1
-	}
-	return false
+	s, ok := lookup(collective, a)
+	return ok && s.applies(p)
+}
+
+// applies is Applicable for the row's own algorithm.
+func (s *algoSpec) applies(p Params) bool {
+	return s.algo == AlgoButterfly || p.P >= 2 && p.M >= max(1, s.perMember*p.P)
 }
 
 // AlgoCost is the closed-form §4.1-model cost line of running the
@@ -157,29 +191,35 @@ func Applicable(collective string, a Algo, p Params) bool {
 // serialize the two directions the measured crossover shifts — exactly
 // what calib.ValidateAlgos reports.
 func AlgoCost(collective string, a Algo, p Params) (float64, bool) {
-	if !Applicable(collective, a, p) {
+	s, ok := lookup(collective, a)
+	switch {
+	case !ok && a == AlgoButterfly: // a collective outside the table
+		return Reduce(p), true
+	case !ok || !s.applies(p):
 		return 0, false
 	}
+	return s.line(p), true
+}
+
+// rabenseifnerCost is the recursive halving/doubling line, with the
+// fold/unfold surcharge for non-power-of-two groups.
+func rabenseifnerCost(p Params) float64 {
 	q := float64(p.P-1) / float64(p.P)
-	switch a {
-	case AlgoButterfly:
-		return Reduce(p), true
-	case AlgoRabenseifner:
-		c := 2*p.LogP()*p.Ts + 2*q*p.m()*p.Tw + q*p.m()
-		if p.P&(p.P-1) != 0 {
-			// Fold the surplus ranks into leaders first and unfold after:
-			// one full-block exchange each way plus one combine.
-			c += 2*p.Ts + 2*p.m()*p.Tw + p.m()
-		}
-		return c, true
-	case AlgoRing:
-		return 2*float64(p.P-1)*p.Ts + 2*q*p.m()*p.Tw + q*p.m(), true
-	case AlgoRingBi:
-		return 2*float64(p.P-1)*p.Ts + q*p.m()*p.Tw + q*p.m(), true
-	case AlgoPipeline:
-		return pipelineCost(p, PipelineSegments(p)), true
+	c := 2*p.LogP()*p.Ts + 2*q*p.m()*p.Tw + q*p.m()
+	if p.P&(p.P-1) != 0 {
+		// Fold the surplus ranks into leaders first and unfold after:
+		// one full-block exchange each way plus one combine.
+		c += 2*p.Ts + 2*p.m()*p.Tw + p.m()
 	}
-	return 0, false
+	return c
+}
+
+// ringCost is the ring line with passes·q·m words on the wire: 2 for the
+// unidirectional ring (reduce-scatter, then allgather), 1 for the
+// bidirectional one, whose two directions overlap on full-duplex links.
+func ringCost(p Params, passes float64) float64 {
+	q := float64(p.P-1) / float64(p.P)
+	return 2*float64(p.P-1)*p.Ts + passes*q*p.m()*p.Tw + q*p.m()
 }
 
 // BreakEven finds, by bisection over the block size m within [1, hi],
@@ -225,15 +265,20 @@ func BreakEven(collective string, a Algo, base Params, hi int) int {
 // qualifies (the alternatives all split or segment the block, which is
 // only sound for elementwise base operators).
 func BestAlgo(collective string, p Params, elementwise bool) (Algo, float64) {
-	best := AlgoButterfly
-	bestCost, _ := AlgoCost(collective, AlgoButterfly, p)
-	if !elementwise {
-		return best, bestCost
-	}
-	for _, a := range Algos(collective)[1:] {
-		if c, ok := AlgoCost(collective, a, p); ok && c < bestCost {
-			best, bestCost = a, c
+	best, bestCost := AlgoButterfly, math.Inf(1)
+	for i := range algoTable {
+		s := &algoTable[i]
+		if s.collective != collective || !elementwise && s.algo != AlgoButterfly || !s.applies(p) {
+			continue
 		}
+		// Strictly cheaper only: the butterfly, first in the table, keeps
+		// ties.
+		if c := s.line(p); c < bestCost {
+			best, bestCost = s.algo, c
+		}
+	}
+	if math.IsInf(bestCost, 1) { // a collective outside the table
+		return AlgoButterfly, Reduce(p)
 	}
 	return best, bestCost
 }
@@ -264,13 +309,9 @@ func ofStageAuto(t term.Term, p Params, b float64) (float64, float64) {
 		return ofStagesAuto(s, p, b)
 	}
 	if r, ok := t.(term.Reduce); ok && SelectableReduce(r) {
-		collective := CollReduce
-		if r.All {
-			collective = CollAllReduce
-		}
 		pp := p
 		pp.M = int(math.Round(b))
-		_, c := BestAlgo(collective, pp, true)
+		_, c := BestAlgo(ReduceCollective(r), pp, true)
 		return c, b
 	}
 	return ofStage(t, p, b)

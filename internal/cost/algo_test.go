@@ -9,19 +9,8 @@ import (
 	"repro/internal/term"
 )
 
-func TestParseAlgo(t *testing.T) {
-	for _, s := range []string{"", "butterfly", "rabenseifner", "ring", "ring-bi", "pipeline"} {
-		if _, err := ParseAlgo(s); err != nil {
-			t.Errorf("ParseAlgo(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Error("ParseAlgo accepted an unknown algorithm")
-	}
-}
-
 func TestAlgosBaselineFirst(t *testing.T) {
-	for _, coll := range []string{CollAllReduce, CollReduce, "bcast"} {
+	for _, coll := range append(Collectives(), "bcast") {
 		algos := Algos(coll)
 		if len(algos) == 0 || algos[0] != AlgoButterfly {
 			t.Errorf("Algos(%s) = %v: butterfly must lead", coll, algos)
@@ -126,7 +115,7 @@ func TestBestAlgoNeverWorseThanButterfly(t *testing.T) {
 			P:  1 + rng.Intn(64),
 			M:  1 + rng.Intn(1<<14),
 		}
-		for _, coll := range []string{CollAllReduce, CollReduce} {
+		for _, coll := range Collectives() {
 			for _, ew := range []bool{true, false} {
 				a, c := BestAlgo(coll, p, ew)
 				bf, _ := AlgoCost(coll, AlgoButterfly, p)

@@ -6,8 +6,9 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
-	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 )
 
 // This file is the wall-clock side of the algorithm portfolio: it runs
@@ -16,10 +17,10 @@ import (
 // BENCH_native algorithm records and calib's crossover validation.
 
 // MeasureCollective measures the wall-clock makespan in nanoseconds of
-// one collective executed with the given portfolio algorithm on the
-// native backend machine nm, taking the minimum over reps runs. segments
-// is the pipeline's segment count and is ignored by every other
-// algorithm. The caller is expected to warm the machine up with one
+// one collective executed with the given portfolio algorithm (through
+// sel.Run) on the native backend machine nm, taking the minimum over reps
+// runs. segments is the pipeline's segment count and is ignored by every
+// other algorithm. The caller is expected to warm the machine up with one
 // discarded call so mailbox and arena allocation stays out of the
 // minimum.
 func MeasureCollective(nm *backend.Machine, collective string, a cost.Algo, op *algebra.Op, in []algebra.Value, segments, reps int) float64 {
@@ -29,26 +30,7 @@ func MeasureCollective(nm *backend.Machine, collective string, a cost.Algo, op *
 	best := math.MaxFloat64
 	for i := 0; i < reps; i++ {
 		res := nm.Run(func(pr *backend.Proc) {
-			v := in[pr.Rank()]
-			switch collective {
-			case cost.CollAllReduce:
-				switch a {
-				case cost.AlgoRabenseifner:
-					coll.AllReduceRabenseifner(pr, op, v)
-				case cost.AlgoRing:
-					coll.AllReduceRing(pr, op, v)
-				case cost.AlgoRingBi:
-					coll.AllReduceRingBi(pr, op, v)
-				default:
-					coll.AllReduce(pr, op, v)
-				}
-			default: // cost.CollReduce
-				if a == cost.AlgoPipeline {
-					coll.ReducePipelined(pr, op, v, segments)
-				} else {
-					coll.Reduce(pr, 0, op, v)
-				}
-			}
+			sel.Run(pr, collective, a, op, in[pr.Rank()], segments)
 		})
 		if ns := float64(res.Makespan.Nanoseconds()); ns < best {
 			best = ns
@@ -142,7 +124,7 @@ func NativeAlgos(cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
 		nm := backend.New(p)
 		nm.Transport = cfg.Transport
 		base := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: p}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, collective := range cost.Collectives() {
 			for _, a := range cost.Algos(collective)[1:] {
 				var recs []NativeBenchRecord
 				var ms []int
@@ -151,7 +133,7 @@ func NativeAlgos(cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
 					pp := base
 					pp.M = m
 					segs := cost.PipelineSegments(pp)
-					in := inputs(11, p, m)
+					in := mpbackend.SeededInputs(11, p, m)
 					MeasureCollective(nm, collective, a, op, in, segs, 1) // warm-up
 					bfNs = MeasureCollective(nm, collective, cost.AlgoButterfly, op, in, 0, cfg.Reps)
 					algNs = MeasureCollective(nm, collective, a, op, in, segs, cfg.Reps)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 	"repro/internal/term"
 )
@@ -44,7 +45,7 @@ func Figure7On(params machine.Params, blockWords, maxP int, run Runner) Figure {
 		s := Series{Label: labels[i]}
 		for p := 2; p <= maxP; p *= 2 {
 			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: blockWords}
-			in := inputs(7, p, blockWords)
+			in := mpbackend.SeededInputs(7, p, blockWords)
 			s.X = append(s.X, float64(p))
 			s.Y = append(s.Y, run(prog, mach, in))
 		}
@@ -74,7 +75,7 @@ func Figure8On(params machine.Params, p, step, maxM int, run Runner) Figure {
 		s := Series{Label: labels[i]}
 		for m := step; m <= maxM; m += step {
 			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-			in := inputs(8, p, m)
+			in := mpbackend.SeededInputs(8, p, m)
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, run(prog, mach, in))
 		}
@@ -128,7 +129,7 @@ func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, 
 	rhsSeries := Series{Label: "after"}
 	for _, m := range ms {
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-		in := inputs(4, p, m)
+		in := mpbackend.SeededInputs(4, p, m)
 		lhsSeries.X = append(lhsSeries.X, float64(m))
 		lhsSeries.Y = append(lhsSeries.Y, run(pat.LHS, mach, in))
 		rhsSeries.X = append(rhsSeries.X, float64(m))
@@ -182,7 +183,7 @@ func ScalingOn(ruleName string, params machine.Params, totalWords int, ps []int,
 			m = 1
 		}
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-		in := inputs(5, p, m)
+		in := mpbackend.SeededInputs(5, p, m)
 		before.X = append(before.X, float64(p))
 		before.Y = append(before.Y, run(pat.LHS, mach, in))
 		after.X = append(after.X, float64(p))
@@ -228,7 +229,7 @@ func Figure3(mach core.Machine, width int) (before, after string, tBefore, tAfte
 	}
 	optimized := core.FromTerm(optTerm)
 
-	in := inputs(3, mach.P, mach.M)
+	in := mpbackend.SeededInputs(3, mach.P, mach.M)
 	_, resB, evB := example.RunTraced(mach, in)
 	_, resA, evA := optimized.RunTraced(mach, in)
 	var b strings.Builder

@@ -63,7 +63,7 @@ func MultiProcAlgos(cfg NativeAlgoConfig) ([]NativeBenchRecord, error) {
 			return nil, fmt.Errorf("exper: the algorithm sweep needs p ≥ 2, got %d", p)
 		}
 		base := cost.Params{Ts: cfg.Ts, Tw: cfg.Tw, P: p}
-		for _, collective := range []string{cost.CollAllReduce, cost.CollReduce} {
+		for _, collective := range cost.Collectives() {
 			for _, a := range cost.Algos(collective)[1:] {
 				var recs []NativeBenchRecord
 				var ms []int

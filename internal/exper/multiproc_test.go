@@ -4,7 +4,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/cost"
 	"repro/internal/mpbackend"
 )
@@ -15,21 +14,6 @@ import (
 func TestMain(m *testing.M) {
 	mpbackend.MaybeWorker()
 	os.Exit(m.Run())
-}
-
-// TestSeededInputsMatchSweepInputs pins the cross-process contract the
-// algorithm sweeps depend on: MeasureCollectiveMP cannot ship this
-// process's input blocks to the rank workers, so both sides regenerate
-// them from the seed — the native sweep's generator and mpbackend's must
-// stay bit-identical or the two backends would measure different data.
-func TestSeededInputsMatchSweepInputs(t *testing.T) {
-	for _, tc := range []struct{ p, m int }{{2, 1}, {7, 16}, {8, 1024}} {
-		native := inputs(11, tc.p, tc.m)
-		mp := mpbackend.SeededInputs(11, tc.p, tc.m)
-		if !algebra.EqualLists(native, mp) {
-			t.Errorf("p=%d m=%d: native sweep inputs and mpbackend.SeededInputs diverge", tc.p, tc.m)
-		}
-	}
 }
 
 // TestMeasureCollectiveMP runs one real multi-process measurement end to

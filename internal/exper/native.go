@@ -10,6 +10,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 )
 
@@ -179,7 +180,7 @@ func NativeFusion(cfg NativeFusionConfig) ([]NativeBenchRecord, error) {
 		rhs := core.FromTerm(opt)
 		for _, m := range cfg.Ms {
 			mach := core.Machine{P: cfg.P, M: m}
-			in := inputs(11, cfg.P, m)
+			in := mpbackend.SeededInputs(11, cfg.P, m)
 			// Warm up once so first-run allocation noise stays out of
 			// both measurements.
 			run(pat.LHS, mach, in)

@@ -9,12 +9,13 @@ import (
 	"repro/internal/core"
 
 	"repro/internal/algebra"
+	"repro/internal/mpbackend"
 )
 
 func TestNativeRunnerMeasuresWallClock(t *testing.T) {
 	run := NativeRunner(3)
 	prog := core.NewProgram().Bcast().Scan(algebra.Add)
-	in := inputs(2, 4, 8)
+	in := mpbackend.SeededInputs(2, 4, 8)
 	ns := run(prog, core.Machine{P: 4}, in)
 	if ns <= 0 {
 		t.Fatalf("native measurement = %g ns, want > 0", ns)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/mpbackend"
 	"repro/internal/rules"
 )
 
@@ -100,7 +101,7 @@ func Table1On(mach core.Machine, measured bool, run Runner) []Table1Row {
 				panic(fmt.Sprintf("exper: rule %s did not apply to %s", pat.Rule, pat.LHS))
 			}
 			rhs := core.FromTerm(opt)
-			in := inputs(1, mach.P, mach.M)
+			in := mpbackend.SeededInputs(1, mach.P, mach.M)
 			row.MeasBefore = run(pat.LHS, mach, in)
 			row.MeasAfter = run(rhs, mach, in)
 			row.MeasImproves = row.MeasAfter < row.MeasBefore
@@ -188,7 +189,7 @@ func MeasureCrossoverOn(ruleName string, mach core.Machine, maxM int, run Runner
 	improves := func(m int) bool {
 		mm := mach
 		mm.M = m
-		in := inputs(1, mach.P, m)
+		in := mpbackend.SeededInputs(1, mach.P, m)
 		return run(rhs, mm, in) < run(pat.LHS, mm, in)
 	}
 	switch {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/mpbackend"
 	"repro/internal/term"
 )
 
@@ -18,7 +19,7 @@ import (
 func TestComcastWorkOptimality(t *testing.T) {
 	ops := algebra.OpCompBS(algebra.Add)
 	mach := core.Machine{Ts: 5000, Tw: 1, P: 64, M: 256}
-	in := inputs(2, mach.P, mach.M)
+	in := mpbackend.SeededInputs(2, mach.P, mach.M)
 
 	repeat := core.FromTerm(term.Comcast{Ops: ops})
 	doubling := core.FromTerm(term.Comcast{Ops: ops, CostOptimal: true})
@@ -58,7 +59,7 @@ func TestComcastWorkOptimality(t *testing.T) {
 func TestBcastVolume(t *testing.T) {
 	mach := core.Machine{Ts: 10, Tw: 1, P: 16, M: 32}
 	prog := core.NewProgram().Bcast()
-	in := inputs(3, mach.P, mach.M)
+	in := mpbackend.SeededInputs(3, mach.P, mach.M)
 	_, res := prog.Run(mach, in)
 	if want := (mach.P - 1) * mach.M; res.Words != want {
 		t.Fatalf("bcast volume = %d words, want %d", res.Words, want)
@@ -72,7 +73,7 @@ func TestBcastVolume(t *testing.T) {
 // (one butterfly instead of two) at the price of doubling each message.
 func TestRuleReducesVolume(t *testing.T) {
 	mach := core.Machine{Ts: 5000, Tw: 1, P: 32, M: 64}
-	in := inputs(4, mach.P, mach.M)
+	in := mpbackend.SeededInputs(4, mach.P, mach.M)
 	lhs := core.NewProgram().Scan(algebra.Mul).Reduce(algebra.Add)
 	opt := lhs.Optimize(mach)
 	if len(opt.Applications) != 1 {

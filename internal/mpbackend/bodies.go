@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lang"
@@ -44,29 +46,22 @@ func opByName(name string) (*algebra.Op, error) {
 	return nil, fmt.Errorf("mpbackend: unknown operator %q", name)
 }
 
-// vecOf mirrors the deterministic block generators of calib and exper
-// (calib.vec, exper.block): m words with small integer entries drawn
-// sequentially from rng. The formula is duplicated here because those
-// packages sit above this one in the import graph; a cross-check test in
-// exper pins the two in sync.
-func vecOf(rng *rand.Rand, m int) algebra.Vec {
-	v := make(algebra.Vec, m)
-	for i := range v {
-		v[i] = float64(rng.Intn(9) + 1)
-	}
-	return v
-}
-
-// SeededInputs mirrors exper.inputs/calib.inputsFor: one block per rank,
-// drawn sequentially so every rank deterministically reconstructs the
-// whole input list and picks its own. It is exported so exper can pin the
-// two generators bitwise-identical with a cross-check test — the
-// multi-process conformance comparisons depend on it.
+// SeededInputs builds one deterministic m-word block per rank, with small
+// integer entries drawn sequentially from one seeded source, so every
+// rank — in this process or another — reconstructs the whole input list
+// and picks its own. It is the one seeded input generator of the
+// measurement packages (calib, exper and the bodies here): the
+// multi-process conformance comparisons depend on every side drawing the
+// same blocks.
 func SeededInputs(seed int64, p, m int) []algebra.Value {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]algebra.Value, p)
 	for i := range out {
-		out[i] = vecOf(rng, m)
+		v := make(algebra.Vec, m)
+		for j := range v {
+			v[j] = float64(rng.Intn(9) + 1)
+		}
+		out[i] = v
 	}
 	return out
 }
@@ -188,7 +183,7 @@ func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 		if p.Size() != 2 {
 			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", p.Size())
 		}
-		v := algebra.Value(vecOf(rand.New(rand.NewSource(1)), ps.M))
+		v := SeededInputs(1, 1, ps.M)[0]
 		op = func() {
 			for i := 0; i < ps.Rounds; i++ {
 				t1, t2 := p.NextTag(), p.NextTag()
@@ -202,8 +197,8 @@ func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 			}
 		}
 	case "compute":
-		rng := rand.New(rand.NewSource(2))
-		v0, w := vecOf(rng, ps.M), vecOf(rng, ps.M)
+		in := SeededInputs(2, 2, ps.M)
+		v0, w := in[0].(algebra.Vec), in[1]
 		acc := make(algebra.Vec, ps.M)
 		op = func() {
 			copy(acc, v0)
@@ -259,6 +254,9 @@ func collectiveBody(p *Proc, raw json.RawMessage) (any, error) {
 	if ps.Reps < 1 || ps.M < 1 {
 		return nil, fmt.Errorf("mpbackend: collective needs reps and m ≥ 1")
 	}
+	if !slices.Contains(cost.Collectives(), ps.Collective) {
+		return nil, fmt.Errorf("mpbackend: unknown collective %q", ps.Collective)
+	}
 	op, err := opByName(ps.Op)
 	if err != nil {
 		return nil, err
@@ -266,28 +264,7 @@ func collectiveBody(p *Proc, raw json.RawMessage) (any, error) {
 	in := SeededInputs(ps.Seed, p.Size(), ps.M)[p.Rank()]
 	var out algebra.Value
 	run := func() {
-		// Mirrors exper.MeasureCollective's dispatch.
-		switch ps.Collective {
-		case cost.CollAllReduce:
-			switch cost.Algo(ps.Algo) {
-			case cost.AlgoRabenseifner:
-				out = coll.AllReduceRabenseifner(p, op, in)
-			case cost.AlgoRing:
-				out = coll.AllReduceRing(p, op, in)
-			case cost.AlgoRingBi:
-				out = coll.AllReduceRingBi(p, op, in)
-			default:
-				out = coll.AllReduce(p, op, in)
-			}
-		case cost.CollReduce:
-			if cost.Algo(ps.Algo) == cost.AlgoPipeline {
-				out = coll.ReducePipelined(p, op, in, ps.Segments)
-			} else {
-				out = coll.Reduce(p, 0, op, in)
-			}
-		default:
-			panic(fmt.Sprintf("unknown collective %q", ps.Collective))
-		}
+		out = sel.Run(p, ps.Collective, cost.Algo(ps.Algo), op, in, ps.Segments)
 	}
 	ns := repTimed(p, ps.Reps, run)
 	// Re-box before the arena-backed result is encoded: the final
@@ -386,7 +363,7 @@ func programBody(p *Proc, raw json.RawMessage) (any, error) {
 	in := confInputs(prog, p.Size(), ps.M)[p.Rank()]
 	var out algebra.Value
 	ns := repTimed(p, ps.Reps, func() {
-		out = core.RunStages(p, prog, in)
+		out = core.RunStagesSelected(p, prog, in, nil)
 	})
 	return TimingResult{RepNs: ns, Result: encodeResult(out)}, nil
 }

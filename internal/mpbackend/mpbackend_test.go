@@ -7,13 +7,13 @@ package mpbackend_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/coll"
+	"repro/internal/coll/sel"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lang"
@@ -110,35 +110,33 @@ func TestProgramsConform(t *testing.T) {
 	}
 }
 
-// TestCollectiveAlgosConform runs every portfolio algorithm across
+// TestCollectiveAlgosConform runs every row of the portfolio table across
 // process boundaries and asserts bitwise equality with the native
-// backend running the identical algorithm.
+// backend running the identical algorithm through sel.Run.
 func TestCollectiveAlgosConform(t *testing.T) {
-	type tc struct {
-		collective string
-		algo       cost.Algo
-	}
-	cases := []tc{
-		{cost.CollAllReduce, cost.AlgoButterfly},
-		{cost.CollAllReduce, cost.AlgoRabenseifner},
-		{cost.CollAllReduce, cost.AlgoRing},
-		{cost.CollAllReduce, cost.AlgoRingBi},
-		{cost.CollReduce, cost.AlgoButterfly},
-		{cost.CollReduce, cost.AlgoPipeline},
-	}
 	sizes := []int{4, 7}
 	if testing.Short() {
 		sizes = []int{4}
 	}
+	type tc struct {
+		collective string
+		algo       cost.Algo
+	}
+	var cases []tc
+	for _, collective := range cost.Collectives() {
+		for _, a := range cost.Algos(collective) {
+			cases = append(cases, tc{collective, a})
+		}
+	}
 	const m, seed, segments = 32, 11, 3
 	for _, p := range sizes {
-		in := seededBlocks(seed, p, m)
+		in := mpbackend.SeededInputs(seed, p, m)
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("p=%d/%s@%s", p, c.collective, c.algo), func(t *testing.T) {
 				want := make([]algebra.Value, p)
 				nm := backend.New(p)
 				nm.Run(func(pr *backend.Proc) {
-					want[pr.Rank()] = runCollective(pr, c.collective, c.algo, in[pr.Rank()], segments)
+					want[pr.Rank()] = sel.Run(pr, c.collective, c.algo, algebra.Add, in[pr.Rank()], segments)
 				})
 				res, err := mpbackend.Run("collective", p, mpbackend.CollectiveParams{
 					Collective: c.collective, Algo: string(c.algo), Op: "add",
@@ -168,44 +166,6 @@ func TestCollectiveAlgosConform(t *testing.T) {
 	}
 }
 
-// seededBlocks mirrors the seeded input generator shared by exper, calib
-// and the collective body.
-func seededBlocks(seed int64, p, m int) []algebra.Value {
-	in := make([]algebra.Value, p)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range in {
-		b := make(algebra.Vec, m)
-		for j := range b {
-			b[j] = float64(rng.Intn(9) + 1)
-		}
-		in[i] = b
-	}
-	return in
-}
-
-// runCollective mirrors the collective body's dispatch on an in-process
-// communicator.
-func runCollective(c coll.Comm, collective string, a cost.Algo, v algebra.Value, segments int) algebra.Value {
-	switch collective {
-	case cost.CollAllReduce:
-		switch a {
-		case cost.AlgoRabenseifner:
-			return coll.AllReduceRabenseifner(c, algebra.Add, v)
-		case cost.AlgoRing:
-			return coll.AllReduceRing(c, algebra.Add, v)
-		case cost.AlgoRingBi:
-			return coll.AllReduceRingBi(c, algebra.Add, v)
-		default:
-			return coll.AllReduce(c, algebra.Add, v)
-		}
-	default:
-		if a == cost.AlgoPipeline {
-			return coll.ReducePipelined(c, algebra.Add, v, segments)
-		}
-		return coll.Reduce(c, 0, algebra.Add, v)
-	}
-}
-
 // TestCountersMatchNative cross-checks the traffic accounting: the same
 // program must move the same messages and words across process boundaries
 // as it does on the in-process backends.
@@ -221,7 +181,7 @@ func TestCountersMatchNative(t *testing.T) {
 	in := confBlocks(p, m)
 	nm := backend.New(p)
 	nres := nm.Run(func(pr *backend.Proc) {
-		core.RunStages(pr, prog, in[pr.Rank()])
+		core.RunStagesSelected(pr, prog, in[pr.Rank()], nil)
 	})
 	res, err := mpbackend.Run("program", p, mpbackend.ProgramParams{Src: src, M: m, Reps: 1}, mpbackend.Options{})
 	if err != nil {

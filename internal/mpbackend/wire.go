@@ -107,6 +107,9 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		return s, buf[8:], nil
 	case kindVec:
 		n, rest, err := readLen(buf, "vec")
+		if err == nil {
+			err = fits(rest, n, 8, "vec")
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -125,11 +128,17 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		if w < 1 || n < w || n%w != 0 {
 			return nil, nil, fmt.Errorf("flat tuple of %d words in %d components", n, w)
 		}
+		if err := fits(rest, n, 8, "flat tuple"); err != nil {
+			return nil, nil, err
+		}
 		ft := &algebra.FlatTuple{W: w, Data: make([]float64, n)}
 		rest, err = readFloats(rest, ft.Data, "flat tuple")
 		return ft, rest, err
 	case kindTuple:
 		n, rest, err := readLen(buf, "tuple")
+		if err == nil {
+			err = fits(rest, n, 1, "tuple")
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -150,11 +159,19 @@ func readValue(buf []byte) (algebra.Value, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		// r·c·8 must fit in the remaining bytes; dividing instead of
+		// multiplying keeps the check itself from overflowing.
+		if c > 0 && r > len(rest)/8/c {
+			return nil, nil, fmt.Errorf("truncated matrix payload: %d × %d words in %d bytes", r, c, len(rest))
+		}
 		m := algebra.Mat{R: r, C: c, Data: make([]float64, r*c)}
 		rest, err = readFloats(rest, m.Data, "matrix")
 		return m, rest, err
 	case kindList:
 		n, rest, err := readLen(buf, "value list")
+		if err == nil {
+			err = fits(rest, n, 1, "value list")
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -179,6 +196,16 @@ func readLen(buf []byte, what string) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("implausible %s size %d", what, n)
 	}
 	return int(n), buf[4:], nil
+}
+
+// fits checks, before anything is allocated, that n elements of at least
+// size bytes each can still follow in buf — a length header never makes
+// the decoder allocate more than the frame it arrived in could hold.
+func fits(buf []byte, n, size int, what string) error {
+	if n > len(buf)/size {
+		return fmt.Errorf("truncated %s payload: %d elements in %d bytes", what, n, len(buf))
+	}
+	return nil
 }
 
 func readFloats(buf []byte, dst []float64, what string) ([]byte, error) {
