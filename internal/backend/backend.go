@@ -42,6 +42,7 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -105,12 +106,6 @@ type Machine struct {
 	// bound (and removes a per-receive timer, which matters in tight
 	// benchmarks).
 	Timeout time.Duration
-	// Startup, when non-zero, makes every sender busy-wait that long
-	// before enqueuing a message — an injected per-message start-up for
-	// emulating networks where start-up dominates even more than
-	// goroutine scheduling already does. Zero (the default) measures the
-	// host's bare channel cost.
-	Startup time.Duration
 	// MailboxCap overrides the buffer depth per directed rank pair. Zero
 	// means the default (4), which is enough for every collective in
 	// package coll; fault-injecting decorators that put retransmissions
@@ -130,9 +125,9 @@ type Machine struct {
 	Watchdog time.Duration
 
 	procs []*Proc
-	// abort is closed by the watchdog to cancel every blocked rank;
+	// abort is the watchdog's slot, shared by every rank of the run;
 	// wdReport carries its report to Run. Both are per-run state.
-	abort    chan struct{}
+	abort    *Abort
 	wdReport string
 	wdWG     sync.WaitGroup
 }
@@ -143,18 +138,6 @@ func New(p int) *Machine {
 		panic(fmt.Sprintf("backend: need at least 1 rank, got %d", p))
 	}
 	return &Machine{P: p, Timeout: DefaultTimeout}
-}
-
-// packet is one in-flight message. Unlike the virtual machine's packet it
-// carries no departure clock — arrival order and wall time are the truth.
-type packet struct {
-	value algebra.Value
-	tag   int
-	// owned marks an ownership-transferring message: the receiver may
-	// write the value in place (it is the new owner); the sender has
-	// relinquished it. Borrowing sends leave it false — the value is a
-	// shared, frozen reference.
-	owned bool
 }
 
 // mailboxCap is the default buffer depth per directed rank pair. As on the
@@ -169,374 +152,49 @@ func (m *Machine) mailboxCap() int {
 	return mailboxCap
 }
 
-// waitInfo is one rank's published blocking state, read by the watchdog.
-// A waitInfo is immutable once published; a rank publishes a fresh one on
-// every blocking slow path and clears the pointer when it unblocks.
-type waitInfo struct {
-	// dir is the blocked direction: "receiving from", "sending to" or
-	// "deadlocked in exchange with".
-	dir string
-	// peer and tag identify the transfer being waited on.
-	peer, tag int
-	// since is when the rank started waiting.
-	since time.Time
-}
-
-// StageMark is one stage-boundary annotation on a rank's wall-clock
-// timeline, recorded by Mark (the generic executor marks every program
-// stage).
-type StageMark struct {
-	// Label names the stage.
-	Label string
-	// At is the offset from the barrier-synchronized start.
-	At time.Duration
-}
-
-// Proc is one native rank. It implements coll.Comm, so every collective of
-// package coll runs on it directly. Its methods must only be called from
-// the goroutine running that rank's SPMD body.
+// Proc is one native rank: a rank core whose link is a channel send into
+// the peer's mailbox. It implements coll.Comm, coll.Transport, coll.Mover
+// and coll.ArenaHolder, so every collective of package coll runs on it
+// directly. Its methods must only be called from the goroutine running
+// that rank's SPMD body. Its scratch arena is reset at the start of every
+// Run, so arena-backed values stay valid until the machine's next Run.
 type Proc struct {
-	rank int
-	m    *Machine
-	// in[src] lazily materializes the channel carrying messages from rank
-	// src to this rank, so Run setup is O(messages actually exchanged)
-	// rather than O(P²) channel allocations per run.
-	in []atomic.Pointer[chan packet]
-	// timer is the reusable receive-timeout timer; a per-take time.After
-	// would allocate a fresh timer (and leak it until expiry) on every
-	// receive.
-	timer *time.Timer
-	// arena is the rank's scratch-buffer pool, reset at the start of every
-	// run; package coll's collectives draw their combining buffers from it.
-	arena *algebra.Arena
+	*Core
 	// start is the barrier-synchronized run start, shared by all ranks.
 	start time.Time
 	// elapsed is the rank's wall time from start to body return.
 	elapsed time.Duration
-	// sent/recvd/sentWords/ops mirror the virtual machine's counters so
-	// both backends report comparable volume figures.
-	sent, recvd int
-	sentWords   int
-	ops         float64
-	tagseq      int
-	marks       []StageMark
-	// wait is the rank's published blocking state (nil while running);
-	// finished flips when the rank's body returns. Both are read by the
-	// deadlock watchdog and only written by the rank's own goroutine.
-	wait     atomic.Pointer[waitInfo]
+	// finished flips when the rank's body returns; the deadlock watchdog
+	// reads it.
 	finished atomic.Bool
 }
 
-// mailbox returns the channel carrying messages from src to p, creating it
-// on first use. Sender and receiver may race to create the same pair's
-// channel; the compare-and-swap makes the first one win and both see it.
-func (p *Proc) mailbox(src int) chan packet {
-	if ch := p.in[src].Load(); ch != nil {
-		return *ch
-	}
-	ch := make(chan packet, p.m.mailboxCap())
-	if p.in[src].CompareAndSwap(nil, &ch) {
-		return ch
-	}
-	return *p.in[src].Load()
-}
+// chanLink is the native link driver: a packet crosses as a channel send
+// into the peer core's mailbox.
+type chanLink struct{ m *Machine }
 
-// ScratchArena returns the rank's scratch-buffer arena. The collectives in
-// package coll draw their combining buffers from it, so the log-p rounds of
-// a reduction or scan reuse storage across runs instead of allocating.
-// Values backed by the arena stay valid until the machine's next Run.
-func (p *Proc) ScratchArena() *algebra.Arena { return p.arena }
-
-// Rank is this rank's index, 0 ≤ Rank < P.
-func (p *Proc) Rank() int { return p.rank }
-
-// Size is the machine size.
-func (p *Proc) Size() int { return p.m.P }
-
-// NextTag returns a fresh message tag. As on the virtual machine, the
-// per-rank counters of an SPMD program stay synchronized, giving each
-// collective a distinct tag without coordination.
-func (p *Proc) NextTag() int {
-	p.tagseq++
-	return p.tagseq
-}
-
-// Compute records n charged units of local computation. The native
-// backend does not advance any clock here: the arithmetic that the charge
-// accounts for has already been executed for real inside the operator, so
-// its cost is in the wall-clock measurement. The counter is kept so the
-// run's Result reports the same work figure as the virtual machine's.
-func (p *Proc) Compute(n float64) {
-	if n < 0 {
-		panic("backend: negative computation charge")
-	}
-	p.ops += n
-}
-
-// Mark records a stage-boundary annotation at the current wall offset.
-func (p *Proc) Mark(label string) {
-	p.marks = append(p.marks, StageMark{Label: label, At: time.Since(p.start)})
-}
-
-// outbound prepares v for the wire: under TransportCopy every payload is
+// Outbound prepares a payload for the channel: under TransportCopy it is
 // deep-copied at the send site (the memory-isolation baseline); under
 // TransportZeroCopy the reference itself crosses.
-func (p *Proc) outbound(v algebra.Value) algebra.Value {
-	if p.m.Transport == TransportCopy {
-		return algebra.CloneValue(v)
+func (l chanLink) Outbound(dst int, pkt Packet) Packet {
+	if l.m.Transport == TransportCopy {
+		pkt.Value = algebra.CloneValue(pkt.Value)
 	}
-	return v
-}
-
-// Send ships v to rank dst over the channel pair — a real transfer of the
-// (shared, immutable-by-convention) value reference, a borrow: the sender
-// may still read v afterwards, and neither side may write it.
-func (p *Proc) Send(dst int, v algebra.Value, tag int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	p.m.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	p.put(dst, packet{value: p.outbound(v), tag: tag})
-}
-
-// SendMove ships v to rank dst transferring ownership: the receiver (via
-// RecvOwned) becomes the value's owner and may write it in place; the
-// sender relinquishes it and must not observe it again. For a *FlatTuple
-// the relinquishment is enforced — the tuple is poisoned and any later
-// access by the sender panics until its arena reclaims the buffer at the
-// next run's reset. Under TransportZeroCopy this makes a large-m send
-// O(1): only the reference crosses the mailbox. Under TransportCopy the
-// receiver gets an owned deep copy and the sender's value is poisoned all
-// the same, so a program's ownership discipline is checked identically on
-// both transports.
-func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	p.m.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	wire := p.outbound(v)
-	if ft, ok := v.(*algebra.FlatTuple); ok {
-		// Poison after outbound: under TransportCopy the clone reads v.
-		ft.MarkMoved()
-	}
-	p.put(dst, packet{value: wire, tag: tag, owned: true})
-}
-
-// put enqueues a packet for dst. The fast path is a plain buffered-channel
-// send; when the mailbox is full and the watchdog is armed, the rank
-// publishes its blocked-on state and stays cancellable, so a send-side
-// deadlock (every mailbox full, nobody receiving) is diagnosed like a
-// receive-side one.
-func (p *Proc) put(dst int, pkt packet) {
-	ch := p.m.procs[dst].mailbox(p.rank)
-	if p.m.abort == nil {
-		ch <- pkt
-		return
-	}
-	select {
-	case ch <- pkt:
-		return
-	default:
-	}
-	p.wait.Store(&waitInfo{dir: "sending to", peer: dst, tag: pkt.tag, since: time.Now()})
-	defer p.wait.Store(nil)
-	select {
-	case ch <- pkt:
-	case <-p.m.abort:
-		panic(errWatchdogAbort)
-	}
-}
-
-// TrySend is the non-blocking variant of Send: it enqueues v for dst if the
-// mailbox has room and reports whether it did. Nothing is charged on
-// failure. Fault-injecting decorators build their retry loops on it so a
-// full mailbox never wedges a rank that still has protocol work to do.
-func (p *Proc) TrySend(dst int, v algebra.Value, tag int) bool {
-	if dst == p.rank {
-		panic(fmt.Sprintf("backend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	select {
-	case p.m.procs[dst].mailbox(p.rank) <- packet{value: p.outbound(v), tag: tag}:
-	default:
-		return false
-	}
-	p.m.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	return true
-}
-
-// Recv receives the next message from rank src, blocking until it
-// arrives.
-func (p *Proc) Recv(src, tag int) algebra.Value {
-	p.checkRank(src)
-	pkt := p.take(src, tag, "waiting for a message from")
-	return pkt.value
-}
-
-// Exchange performs the simultaneous bidirectional swap with partner:
-// both sides enqueue, then dequeue, which the buffered channels keep
-// deadlock-free.
-func (p *Proc) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
-	if partner == p.rank {
-		panic(fmt.Sprintf("backend: rank %d exchanging with itself", p.rank))
-	}
-	p.checkRank(partner)
-	p.m.startupWait()
-	p.sent++
-	p.sentWords += v.Words()
-	p.put(partner, packet{value: p.outbound(v), tag: tag})
-	pkt := p.take(partner, tag, "deadlocked in exchange with")
-	return pkt.value
-}
-
-// RecvOwned receives the next message from rank src like Recv and reports
-// whether the message transferred ownership: when owned is true the caller
-// is the value's new owner and may write it in place (a received
-// *FlatTuple has its move poison cleared — the adoption point of the
-// ownership protocol); when false the value is a borrowed shared reference
-// and must be treated as frozen.
-func (p *Proc) RecvOwned(src, tag int) (v algebra.Value, owned bool) {
-	p.checkRank(src)
-	pkt := p.take(src, tag, "waiting for a message from")
-	if pkt.owned {
-		if ft, ok := pkt.value.(*algebra.FlatTuple); ok {
-			ft.MarkOwned()
-		}
-	}
-	return pkt.value, pkt.owned
-}
-
-// RecvAny dequeues the next message from rank src regardless of its tag,
-// returning the value and the tag it was sent under. It blocks like Recv
-// (same timeout and watchdog discipline) but performs no tag check — it is
-// the raw link layer that fault-injecting decorators, which multiplex
-// their own protocol over one wire tag, read from.
-func (p *Proc) RecvAny(src int) (algebra.Value, int) {
-	p.checkRank(src)
-	pkt := p.take(src, anyTag, "waiting for a message from")
-	return pkt.value, pkt.tag
-}
-
-// TryRecvAny is the non-blocking variant of RecvAny: it dequeues an
-// already-arrived message from src, if there is one.
-func (p *Proc) TryRecvAny(src int) (algebra.Value, int, bool) {
-	p.checkRank(src)
-	select {
-	case pkt := <-p.mailbox(src):
-		p.recvd++
-		return pkt.value, pkt.tag, true
-	default:
-		return nil, 0, false
-	}
-}
-
-// anyTag makes take skip the tag check; it is never a valid message tag
-// (NextTag counts up from 1, subgroup tags are offset positive).
-const anyTag = -1 << 62
-
-// errWatchdogAbort is the sentinel panic value of a rank cancelled by the
-// deadlock watchdog; Run replaces it with the watchdog's full report.
-var errWatchdogAbort = fmt.Errorf("backend: run aborted by deadlock watchdog")
-
-// take dequeues the next packet from src with the timeout and tag
-// discipline of the virtual machine. The timeout uses the rank's reusable
-// timer: stopped and drained after every successful receive, so a
-// receive-heavy run arms one timer object instead of allocating one per
-// message the way time.After would.
-func (p *Proc) take(src, tag int, verb string) packet {
-	var pkt packet
-	ch := p.mailbox(src)
-	watched := p.m.abort != nil
-	if p.m.Timeout > 0 || watched {
-		// Fast path: the message is already there — skip the timer and
-		// the wait-state publication entirely.
-		select {
-		case pkt = <-ch:
-			return p.accept(pkt, src, tag)
-		default:
-		}
-		if watched {
-			p.wait.Store(&waitInfo{dir: blockDir(verb), peer: src, tag: tag, since: time.Now()})
-			defer p.wait.Store(nil)
-		}
-		// A nil timer channel blocks forever, so the watchdog-only case
-		// (Timeout == 0) falls through to the abort select cleanly.
-		var timeoutC <-chan time.Time
-		if p.m.Timeout > 0 {
-			if p.timer == nil {
-				p.timer = time.NewTimer(p.m.Timeout)
-			} else {
-				p.timer.Reset(p.m.Timeout)
-			}
-			timeoutC = p.timer.C
-		}
-		var abortC chan struct{}
-		if watched {
-			abortC = p.m.abort
-		}
-		select {
-		case pkt = <-ch:
-			if p.timer != nil && !p.timer.Stop() {
-				// The timer fired concurrently with the receive; drain it
-				// so the next Reset starts from a clean channel.
-				select {
-				case <-p.timer.C:
-				default:
-				}
-			}
-		case <-timeoutC:
-			panic(fmt.Sprintf("backend: rank %d timed out after %v %s rank %d (tag %d); %d messages received, %d sent so far",
-				p.rank, p.m.Timeout, verb, src, tag, p.recvd, p.sent))
-		case <-abortC:
-			panic(errWatchdogAbort)
-		}
-	} else {
-		pkt = <-ch
-	}
-	return p.accept(pkt, src, tag)
-}
-
-// accept performs the tag check of the virtual machine and counts the
-// receive. A tag of anyTag skips the check (raw-link receives).
-func (p *Proc) accept(pkt packet, src, tag int) packet {
-	if tag != anyTag && pkt.tag != tag {
-		panic(fmt.Sprintf("backend: rank %d expected tag %d from rank %d, got %d", p.rank, tag, src, pkt.tag))
-	}
-	p.recvd++
 	return pkt
 }
 
-// blockDir maps take's panic verb to the watchdog report's direction.
-func blockDir(verb string) string {
-	if verb == "deadlocked in exchange with" {
-		return "exchanging with"
+// Deliver sends pkt into dst's mailbox for c's rank.
+func (l chanLink) Deliver(c *Core, dst int, pkt Packet, try bool) bool {
+	ch := l.m.procs[dst].inbox(c.rank)
+	if !try {
+		c.put(ch, dst, pkt)
+		return true
 	}
-	return "receiving from"
-}
-
-func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= p.m.P {
-		panic(fmt.Sprintf("backend: rank %d out of range [0,%d)", r, p.m.P))
-	}
-}
-
-// startupWait busy-waits for the injected per-message start-up. A spin
-// rather than a sleep: the emulated start-ups of interest sit well below
-// the scheduler's sleep granularity.
-func (m *Machine) startupWait() {
-	if m.Startup <= 0 {
-		return
-	}
-	t0 := time.Now()
-	for time.Since(t0) < m.Startup {
+	select {
+	case ch <- pkt:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -556,8 +214,6 @@ type Result struct {
 	// native backend performs this work for real; the counter is kept so
 	// both backends report the same work figure.
 	Ops float64
-	// Marks are the per-rank stage annotations ([rank][stage]).
-	Marks [][]StageMark
 }
 
 // Run executes body as an SPMD program: one goroutine per rank, all
@@ -595,7 +251,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	ready.Wait()
 	var wdStop chan struct{}
 	if m.Watchdog > 0 {
-		m.abort = make(chan struct{})
+		m.abort = NewAbort()
 		m.wdReport = ""
 		wdStop = make(chan struct{})
 		m.wdWG.Add(1)
@@ -604,6 +260,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	start := time.Now()
 	for _, p := range m.procs {
 		p.start = start
+		p.abort = m.abort
 	}
 	close(release)
 	done.Wait()
@@ -614,7 +271,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	}
 	if m.wdReport != "" {
 		// The watchdog cancelled a quiesced run: every blocked rank
-		// panicked with the sentinel; surface the per-rank report instead.
+		// panicked on the abort; surface the per-rank report instead.
 		m.procs = nil
 		panic(m.wdReport)
 	}
@@ -626,14 +283,12 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 			panic(fmt.Sprintf("backend: rank %d failed: %v", r, e))
 		}
 	}
-	res := Result{Ranks: make([]time.Duration, m.P), Marks: make([][]StageMark, m.P)}
+	res := Result{Ranks: make([]time.Duration, m.P)}
 	for r, p := range m.procs {
 		res.Ranks[r] = p.elapsed
-		// Copy the marks: p.marks is reused by the next run.
-		res.Marks[r] = append([]StageMark(nil), p.marks...)
-		res.Messages += p.sent
-		res.Words += p.sentWords
-		res.Ops += p.ops
+		res.Messages += p.Count.Sent
+		res.Words += p.Count.Words
+		res.Ops += p.Count.Ops
 		if p.elapsed > res.Makespan {
 			res.Makespan = p.elapsed
 		}
@@ -686,60 +341,33 @@ func (m *Machine) watch(stop chan struct{}) {
 				continue
 			}
 			if w := p.wait.Load(); w != nil {
-				fmt.Fprintf(&b, "  rank %d: blocked %s rank %d (tag %d) for %v\n",
-					p.rank, w.dir, w.peer, w.tag, now.Sub(w.since).Round(time.Millisecond))
+				fmt.Fprintf(&b, "  rank %d: %s\n", p.rank, w.describe(now))
 			} else {
 				fmt.Fprintf(&b, "  rank %d: running\n", p.rank)
 			}
 		}
 		m.wdReport = b.String()
-		close(m.abort)
+		m.abort.Fire(errors.New("deadlock watchdog fired"))
 		return
 	}
 }
 
 // reset prepares the cached ranks for a fresh run, building them on the
-// first call. Counters, tag sequences, marks, and arenas restart from
-// zero; mailbox channels persist (a completed run leaves them empty — any
-// stray packet would have tripped the previous run's tag check or been
-// consumed — and an aborted run discards the ranks entirely).
+// first call. Counters, tag sequences and arenas restart from zero;
+// mailbox channels persist (a completed run leaves them empty, stray
+// packets are drained, and an aborted run discards the ranks entirely).
 func (m *Machine) reset() {
 	if len(m.procs) != m.P {
 		m.procs = make([]*Proc, m.P)
-		for r := 0; r < m.P; r++ {
-			m.procs[r] = &Proc{
-				rank:  r,
-				m:     m,
-				in:    make([]atomic.Pointer[chan packet], m.P),
-				arena: algebra.NewArena(),
-			}
+		for r := range m.procs {
+			m.procs[r] = &Proc{Core: NewCore(r, m.P, m.mailboxCap(), chanLink{m}, nil)}
 		}
-		return
 	}
 	for _, p := range m.procs {
-		p.sent, p.recvd, p.sentWords = 0, 0, 0
-		p.ops = 0
-		p.tagseq = 0
-		p.marks = p.marks[:0]
 		p.elapsed = 0
 		p.finished.Store(false)
-		p.wait.Store(nil)
 		// The previous run's completion barrier (done.Wait) ordered every
-		// rank's arena use before this reset.
-		p.arena.Reset()
-		// Defensively drain any packet a sloppy program sent but never
-		// received, so it cannot satisfy a later run's matching tag.
-		for s := range p.in {
-			if ch := p.in[s].Load(); ch != nil {
-				for {
-					select {
-					case <-*ch:
-						continue
-					default:
-					}
-					break
-				}
-			}
-		}
+		// rank's arena use and sends before this reset.
+		p.Core.reset(m.Timeout)
 	}
 }

@@ -13,7 +13,6 @@ import (
 // The native Proc must satisfy the communicator interface the collective
 // library is written against — that is the whole premise of the backend.
 var _ coll.Comm = (*backend.Proc)(nil)
-var _ coll.Marker = (*backend.Proc)(nil)
 
 func TestRunTimingAndResultShape(t *testing.T) {
 	nm := backend.New(4)
@@ -59,43 +58,15 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func mustPanicRun(t *testing.T, name string, nm *backend.Machine, body func(p *backend.Proc)) string {
-	t.Helper()
-	var msg string
-	func() {
-		defer func() {
-			if e := recover(); e != nil {
-				msg = e.(string)
-			}
-		}()
-		nm.Run(body)
-	}()
-	if msg == "" {
-		t.Fatalf("%s: expected the run to panic", name)
-	}
-	return msg
-}
-
-func TestTagMismatchPanics(t *testing.T) {
-	msg := mustPanicRun(t, "tag mismatch", backend.New(2), func(p *backend.Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, algebra.Scalar(1), 1)
-		} else {
-			p.Recv(0, 2)
-		}
-	})
-	if !strings.Contains(msg, "expected tag 2") {
-		t.Fatalf("panic message %q does not diagnose the tag", msg)
-	}
-}
-
 func TestDeadlockTimeout(t *testing.T) {
 	nm := backend.New(2)
 	nm.Timeout = 50 * time.Millisecond
-	msg := mustPanicRun(t, "deadlock", nm, func(p *backend.Proc) {
-		if p.Rank() == 1 {
-			p.Recv(0, 1) // rank 0 never sends
-		}
+	msg := mustPanic(t, func() {
+		nm.Run(func(p *backend.Proc) {
+			if p.Rank() == 1 {
+				p.Recv(0, 1) // rank 0 never sends
+			}
+		})
 	})
 	if !strings.Contains(msg, "waiting for a message") {
 		t.Fatalf("panic message %q does not diagnose the deadlock", msg)
@@ -103,54 +74,15 @@ func TestDeadlockTimeout(t *testing.T) {
 }
 
 func TestBodyPanicIdentifiesRank(t *testing.T) {
-	msg := mustPanicRun(t, "body panic", backend.New(4), func(p *backend.Proc) {
-		if p.Rank() == 2 {
-			panic("kaboom")
-		}
+	msg := mustPanic(t, func() {
+		backend.New(4).Run(func(p *backend.Proc) {
+			if p.Rank() == 2 {
+				panic("kaboom")
+			}
+		})
 	})
 	if !strings.Contains(msg, "rank 2") || !strings.Contains(msg, "kaboom") {
 		t.Fatalf("panic message %q does not identify the failing rank", msg)
-	}
-}
-
-func TestSelfSendPanics(t *testing.T) {
-	mustPanicRun(t, "self send", backend.New(2), func(p *backend.Proc) {
-		if p.Rank() == 0 {
-			p.Send(0, algebra.Scalar(1), 1)
-		}
-	})
-}
-
-func TestInjectedStartup(t *testing.T) {
-	const delay = 200 * time.Microsecond
-	nm := backend.New(2)
-	nm.Startup = delay
-	res := nm.Run(func(p *backend.Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, algebra.Scalar(1), 1)
-		} else {
-			p.Recv(0, 1)
-		}
-	})
-	if res.Makespan < delay {
-		t.Fatalf("makespan %v shorter than the injected start-up %v", res.Makespan, delay)
-	}
-}
-
-func TestMarksRecorded(t *testing.T) {
-	nm := backend.New(2)
-	res := nm.Run(func(p *backend.Proc) {
-		p.Mark("phase-a")
-		coll.AllReduce(p, algebra.Add, algebra.Scalar(1))
-		p.Mark("phase-b")
-	})
-	for r, marks := range res.Marks {
-		if len(marks) != 2 || marks[0].Label != "phase-a" || marks[1].Label != "phase-b" {
-			t.Fatalf("rank %d marks = %v", r, marks)
-		}
-		if marks[1].At < marks[0].At {
-			t.Fatalf("rank %d marks out of order: %v", r, marks)
-		}
 	}
 }
 

@@ -76,7 +76,9 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 // writable value. Under zero-copy the very storage crosses; under copy
 // the receiver gets an independent clone; the sender-side discipline is
 // identical either way, so a program cannot pass on one transport and
-// corrupt memory on the other.
+// corrupt memory on the other. The receiver adopts the tuple only after
+// the sender has finished inspecting its poison: RecvOwned clears the
+// flag, and under zero-copy both sides hold the same tuple.
 func TestSendMovePoisonsSender(t *testing.T) {
 	for _, mode := range transportModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -86,8 +88,10 @@ func TestSendMovePoisonsSender(t *testing.T) {
 			for i := range ft.Data {
 				ft.Data[i] = float64(i)
 			}
+			checked := make(chan struct{})
 			nm.Run(func(p *backend.Proc) {
 				if p.Rank() == 0 {
+					defer close(checked) // runs after the recover check below
 					p.SendMove(1, ft, 5)
 					if !ft.IsMoved() {
 						t.Error("sender's tuple not marked moved after SendMove")
@@ -103,6 +107,7 @@ func TestSendMovePoisonsSender(t *testing.T) {
 					ft.Comp(0) // must panic: the storage moved to rank 1
 					return
 				}
+				<-checked
 				v, owned := p.RecvOwned(0, 5)
 				if !owned {
 					t.Error("RecvOwned after SendMove reported a borrow")

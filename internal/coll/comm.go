@@ -53,8 +53,7 @@ type Transport interface {
 
 // Marker is optionally implemented by communicators that can record
 // stage-boundary annotations — the virtual machine puts them on the event
-// trace, the native backend on its wall-clock timeline. Executors should
-// type-assert for it rather than require it.
+// trace. Executors should type-assert for it rather than require it.
 type Marker interface {
 	// Mark records a stage annotation at the current time.
 	Mark(label string)

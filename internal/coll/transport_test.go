@@ -115,6 +115,9 @@ func TestSubMoverForwarding(t *testing.T) {
 	for i := range ft.Data {
 		ft.Data[i] = float64(i + 1)
 	}
+	// The receiver adopts the tuple (clearing its poison) only after the
+	// sender has checked the flag on the same, zero-copy tuple.
+	checked := make(chan struct{})
 	nm.Run(func(p *backend.Proc) {
 		if p.Rank() != 1 && p.Rank() != 3 {
 			return
@@ -130,8 +133,10 @@ func TestSubMoverForwarding(t *testing.T) {
 			if !ft.IsMoved() {
 				t.Error("sub SendMove did not poison the sender's tuple")
 			}
+			close(checked)
 			return
 		}
+		<-checked
 		v, owned := mv.RecvOwned(0, 8)
 		if !owned {
 			t.Error("sub RecvOwned reported a borrow after SendMove")

@@ -34,6 +34,9 @@ type Params struct {
 // magnitude.
 func DefaultParams() Params { return Params{Ts: 1000, Tw: 1} }
 
+// msg is the §4.1 price of one message of the given size: ts + words·tw.
+func (c Params) msg(words int) float64 { return c.Ts + float64(words)*c.Tw }
+
 // Machine is a virtual fully connected parallel machine with P processors.
 // Create one with New, then call Run to execute an SPMD program.
 type Machine struct {
@@ -44,11 +47,6 @@ type Machine struct {
 	// Timeout bounds how long a processor may block in Recv before the
 	// run is aborted with a deadlock diagnosis. Zero means no bound.
 	Timeout time.Duration
-	// LinkCost, when non-nil, overrides Params per directed link — the
-	// hook for non-uniform machines such as clusters of SMPs, where
-	// intra-node links are much cheaper than inter-node ones. The
-	// function must be symmetric for SendRecv to stay consistent.
-	LinkCost func(src, dst int) Params
 	// MailboxCap overrides the buffer depth per directed processor pair.
 	// Zero means the default (4), which is enough for every collective in
 	// package coll; fault-injecting decorators that put retransmissions
@@ -141,8 +139,7 @@ func (p *Proc) Send(dst int, value any, words int, tag int) {
 	}
 	p.checkRank(dst)
 	depart := p.clock
-	cost := p.m.linkParams(p.rank, dst)
-	p.clock += cost.Ts + float64(words)*cost.Tw
+	p.clock += p.m.Params.msg(words)
 	p.sent++
 	p.sentWords += words
 	p.m.trace(Event{Kind: EvSend, Proc: p.rank, Peer: dst, Words: words, Start: depart, End: p.clock, Tag: tag})
@@ -171,8 +168,7 @@ func (p *Proc) Recv(src int, tag int) any {
 	if pkt.depart > start {
 		start = pkt.depart
 	}
-	cost := p.m.linkParams(src, p.rank)
-	p.clock = start + cost.Ts + float64(pkt.words)*cost.Tw
+	p.clock = start + p.m.Params.msg(pkt.words)
 	p.recvd++
 	p.m.trace(Event{Kind: EvRecv, Proc: p.rank, Peer: src, Words: pkt.words, Start: start, End: p.clock, Tag: tag})
 	return pkt.value
@@ -194,8 +190,7 @@ func (p *Proc) TrySend(dst int, value any, words int, tag int) bool {
 	default:
 		return false
 	}
-	cost := p.m.linkParams(p.rank, dst)
-	p.clock += cost.Ts + float64(words)*cost.Tw
+	p.clock += p.m.Params.msg(words)
 	p.sent++
 	p.sentWords += words
 	p.m.trace(Event{Kind: EvSend, Proc: p.rank, Peer: dst, Words: words, Start: depart, End: p.clock, Tag: tag})
@@ -240,8 +235,7 @@ func (p *Proc) admit(pkt packet, src int) any {
 	if pkt.depart > start {
 		start = pkt.depart
 	}
-	cost := p.m.linkParams(src, p.rank)
-	p.clock = start + cost.Ts + float64(pkt.words)*cost.Tw
+	p.clock = start + p.m.Params.msg(pkt.words)
 	p.recvd++
 	p.m.trace(Event{Kind: EvRecv, Proc: p.rank, Peer: src, Words: pkt.words, Start: start, End: p.clock, Tag: pkt.tag})
 	return pkt.value
@@ -283,8 +277,7 @@ func (p *Proc) SendRecv(partner int, value any, words int, tag int) any {
 	if pkt.words > w {
 		w = pkt.words
 	}
-	cost := p.m.linkParams(p.rank, partner)
-	p.clock = start + cost.Ts + float64(w)*cost.Tw
+	p.clock = start + p.m.Params.msg(w)
 	p.m.trace(Event{Kind: EvExchange, Proc: p.rank, Peer: partner, Words: w, Start: start, End: p.clock, Tag: tag})
 	return pkt.value
 }
@@ -370,14 +363,6 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	}
 	m.procs = nil
 	return res
-}
-
-// linkParams resolves the cost parameters of the (src, dst) link.
-func (m *Machine) linkParams(src, dst int) Params {
-	if m.LinkCost != nil {
-		return m.LinkCost(src, dst)
-	}
-	return m.Params
 }
 
 func (m *Machine) trace(e Event) {

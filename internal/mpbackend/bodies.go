@@ -157,7 +157,7 @@ func MinMakespan(results []RankResult) (float64, error) {
 func repTimed(p *Proc, reps int, op func()) []float64 {
 	ns := make([]float64, 0, reps+1)
 	for rep := 0; rep <= reps; rep++ {
-		p.arena.Reset()
+		p.ScratchArena().Reset()
 		p.Barrier()
 		t0 := time.Now()
 		op()

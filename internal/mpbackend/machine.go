@@ -148,9 +148,6 @@ func Run(body string, p int, params any, opt Options) ([]RankResult, error) {
 		if err := json.Unmarshal(data, &ro); err != nil {
 			return nil, fmt.Errorf("mpbackend: rank %d wrote a bad result: %v", r, err)
 		}
-		if ro.Err != "" {
-			return nil, fmt.Errorf("mpbackend: rank %d: %s", r, ro.Err)
-		}
 		out[r] = RankResult{Result: ro.Result, Msgs: ro.Msgs, Words: ro.Words, Ops: ro.Ops}
 	}
 	return out, nil

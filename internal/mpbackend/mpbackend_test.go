@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"regexp"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
@@ -285,5 +287,33 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := mpbackend.Run("probe", 3, mpbackend.ProbeParams{Probe: "pingpong", M: 1, Rounds: 1, Reps: 1}, mpbackend.Options{}); err == nil {
 		t.Fatal("pingpong on 3 ranks did not fail")
+	}
+}
+
+// recvCycle deadlocks two ranks: each waits for the other on tag 7 and
+// nobody sends.
+func init() {
+	mpbackend.Register("test-recv-cycle", func(p *mpbackend.Proc, raw json.RawMessage) (any, error) {
+		p.Recv(1-p.Rank(), 7)
+		return nil, nil
+	})
+}
+
+// TestDeadlockNamesBlockedRanks pins the multi-process deadlock report:
+// a job that wedges in a receive cycle must fail at its timeout with an
+// error naming every blocked rank, the peer it waits for and the tag —
+// the same blocked-on line the native watchdog prints. Whichever rank's
+// timeout fires first, the other sees its link close while still
+// blocked, and its failure names the same edge.
+func TestDeadlockNamesBlockedRanks(t *testing.T) {
+	_, err := mpbackend.Run("test-recv-cycle", 2, nil, mpbackend.Options{Timeout: time.Second})
+	if err == nil {
+		t.Fatal("a receive cycle did not fail")
+	}
+	for r := 0; r < 2; r++ {
+		line := regexp.MustCompile(fmt.Sprintf(`rank %d\b[^\n]*blocked receiving from rank %d \(tag 7\)`, r, 1-r))
+		if !line.MatchString(err.Error()) {
+			t.Errorf("no blocked-on report for rank %d in:\n%v", r, err)
+		}
 	}
 }

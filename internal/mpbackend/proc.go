@@ -7,19 +7,11 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/backend"
 )
-
-// packet is one decoded in-flight message, queued between a link's reader
-// goroutine and the rank's body.
-type packet struct {
-	value algebra.Value
-	tag   int
-	owned bool
-}
 
 // mailboxCap is the decoded-message queue depth per inbound link. It is
 // deeper than the native backend's default because the socket reader
@@ -28,38 +20,31 @@ type packet struct {
 const mailboxCap = 64
 
 // Proc is one multi-process rank: a separate OS process connected to
-// every peer by a Unix domain socket, with the same communicator surface
-// as the in-process backends — coll.Comm, coll.Transport, coll.Mover and
-// coll.ArenaHolder — so every collective of package coll runs on it
+// every peer by a Unix domain socket. It is the rank core of package
+// backend over a socket link, so it has the same communicator surface as
+// the native backend — coll.Comm, coll.Transport, coll.Mover and
+// coll.ArenaHolder — and every collective of package coll runs on it
 // unmodified. Unlike the in-process backends a message here is a real
 // serialization: the value is encoded at the send site, shipped through
 // the kernel, and decoded into fresh storage by the receiver, which is
 // exactly the per-word cost the §4.1 model calls tw and the in-process
-// transports calibrate to ~0.
+// transports calibrate to ~0. Because no peer ever holds a reference into
+// this rank's buffers, the body may Reset the scratch arena at any
+// quiescent point (the probe bodies do so between repetitions).
 type Proc struct {
-	rank, p int
-	// links[r] is the duplex connection to rank r (nil at rank itself).
-	// Only the rank's body goroutine writes a link.
+	*backend.Core
+	sock    *sockLink
+	ctrlseq int
+}
+
+// sockLink is the socket link driver. links[r] is the duplex connection
+// to rank r (nil at the rank itself); only the rank's body goroutine
+// writes a link.
+type sockLink struct {
 	links []*link
-	// mail[src] queues decoded packets from src, filled by that link's
-	// reader goroutine.
-	mail []chan packet
-	// dead is closed (once) by the first reader that fails; failErr is
-	// written before the close, so goroutines observing the closed
-	// channel read it race-free.
-	dead     chan struct{}
-	failOnce sync.Once
-	failErr  error
-	arena    *algebra.Arena
-	tagseq   int
-	ctrlseq  int
-	// sent/recvd/sentWords/ops mirror the other backends' counters.
-	sent, recvd int
-	sentWords   int
-	ops         float64
-	// encBuf is the reusable frame-encoding buffer; it grows to the
-	// largest message and is not reallocated per send.
-	encBuf []byte
+	// frame is the reusable encoding buffer; it grows to the largest
+	// message and is not reallocated per send.
+	frame []byte
 }
 
 type link struct {
@@ -78,19 +63,9 @@ func sockPath(dir string, r int) string {
 // themselves with a 4-byte hello. The linear setup is acceptable because
 // a process group is spawned once per job, not per measurement.
 func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
-	pr := &Proc{
-		rank:  rank,
-		p:     p,
-		links: make([]*link, p),
-		mail:  make([]chan packet, p),
-		dead:  make(chan struct{}),
-		arena: algebra.NewArena(),
-	}
-	for r := range pr.mail {
-		if r != rank {
-			pr.mail[r] = make(chan packet, mailboxCap)
-		}
-	}
+	sock := &sockLink{links: make([]*link, p)}
+	abort := backend.NewAbort()
+	pr := &Proc{Core: backend.NewCore(rank, p, mailboxCap, sock, abort), sock: sock}
 	if p == 1 {
 		return pr, nil
 	}
@@ -109,7 +84,7 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 		if _, err := conn.Write(hello[:]); err != nil {
 			return nil, fmt.Errorf("rank %d hello to rank %d: %w", rank, r, err)
 		}
-		pr.links[r] = &link{conn: conn, w: bufio.NewWriter(conn)}
+		sock.links[r] = &link{conn: conn, w: bufio.NewWriter(conn)}
 	}
 	for n := rank + 1; n < p; n++ {
 		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
@@ -124,14 +99,14 @@ func connect(dir string, rank, p int, deadline time.Time) (*Proc, error) {
 			return nil, fmt.Errorf("rank %d reading hello: %w", rank, err)
 		}
 		src := int(binary.LittleEndian.Uint32(hello[:]))
-		if src <= rank || src >= p || pr.links[src] != nil {
+		if src <= rank || src >= p || sock.links[src] != nil {
 			return nil, fmt.Errorf("rank %d got hello from unexpected rank %d", rank, src)
 		}
-		pr.links[src] = &link{conn: conn, w: bufio.NewWriter(conn)}
+		sock.links[src] = &link{conn: conn, w: bufio.NewWriter(conn)}
 	}
-	for r, l := range pr.links {
+	for r, l := range sock.links {
 		if l != nil {
-			go pr.read(r, l)
+			go read(l.conn, r, pr.Inbox(r), abort)
 		}
 	}
 	return pr, nil
@@ -153,30 +128,23 @@ func dialRetry(path string, deadline time.Time) (net.Conn, error) {
 }
 
 // read is the per-link reader goroutine: it decodes frames from src into
-// the mailbox until the connection closes. The first failure poisons the
-// Proc so blocked receives surface it instead of hanging.
-func (p *Proc) read(src int, l *link) {
+// the core's mailbox until the connection closes. The first failure fires
+// the core's abort slot, so blocked receives surface it instead of
+// hanging.
+func read(conn net.Conn, src int, in chan<- backend.Packet, abort *backend.Abort) {
 	for {
-		tag, owned, v, err := readFrame(l.conn)
+		tag, owned, v, err := readFrame(conn)
 		if err != nil {
-			p.fail(fmt.Errorf("link from rank %d: %w", src, err))
+			abort.Fire(fmt.Errorf("link from rank %d: %w", src, err))
 			return
 		}
-		p.mail[src] <- packet{value: v, tag: tag, owned: owned}
+		in <- backend.Packet{Value: v, Tag: tag, Owned: owned}
 	}
 }
 
-// fail records the first link failure and wakes every blocked receive.
-func (p *Proc) fail(err error) {
-	p.failOnce.Do(func() {
-		p.failErr = err
-		close(p.dead)
-	})
-}
-
 // close shuts down every link; blocked peers observe EOF.
-func (p *Proc) close() {
-	for _, l := range p.links {
+func (s *sockLink) close() {
+	for _, l := range s.links {
 		if l != nil {
 			l.w.Flush()
 			l.conn.Close()
@@ -184,164 +152,25 @@ func (p *Proc) close() {
 	}
 }
 
-// Rank is this rank's index, 0 ≤ Rank < P.
-func (p *Proc) Rank() int { return p.rank }
-
-// Size is the process-group size.
-func (p *Proc) Size() int { return p.p }
-
-// NextTag returns a fresh message tag; the per-rank counters of an SPMD
-// program stay synchronized, exactly as on the other backends.
-func (p *Proc) NextTag() int {
-	p.tagseq++
-	return p.tagseq
-}
-
-// Compute records n charged units of local computation (the work itself
-// already ran for real inside the operator).
-func (p *Proc) Compute(n float64) {
-	if n < 0 {
-		panic("mpbackend: negative computation charge")
-	}
-	p.ops += n
-}
-
-// ScratchArena returns the rank's scratch-buffer arena. Because every
-// message is serialized at the send site, no peer ever holds a reference
-// into this rank's buffers — the body may Reset the arena at any
-// quiescent point (the probe bodies do so between repetitions).
-func (p *Proc) ScratchArena() *algebra.Arena { return p.arena }
-
-// send encodes and ships one frame to dst.
-func (p *Proc) send(dst, tag int, owned bool, v algebra.Value) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to itself", p.rank))
-	}
-	p.checkRank(dst)
-	p.sent++
-	p.sentWords += v.Words()
-	p.encBuf = appendFrame(p.encBuf[:0], tag, owned, v)
-	l := p.links[dst]
-	if _, err := l.w.Write(p.encBuf); err != nil {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", p.rank, dst, err))
-	}
-	if err := l.w.Flush(); err != nil {
-		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", p.rank, dst, err))
-	}
-}
-
-// Send ships v to rank dst. The value is fully serialized before Send
-// returns, so — unlike the in-process transports — the caller's buffer is
-// not frozen afterwards; the borrow contract is still honored by treating
-// it as such, which keeps programs portable across transports.
-func (p *Proc) Send(dst int, v algebra.Value, tag int) {
-	p.send(dst, tag, false, v)
-}
-
-// SendMove ships v transferring ownership (coll.Mover). Across a process
-// boundary the receiver always gets private storage, so the move costs
-// the same as Send; the sender's *FlatTuple is poisoned all the same, so
-// the ownership discipline is checked identically on every transport.
-func (p *Proc) SendMove(dst int, v algebra.Value, tag int) {
-	p.send(dst, tag, true, v)
-	if ft, ok := v.(*algebra.FlatTuple); ok {
-		ft.MarkMoved()
-	}
-}
-
-// TrySend is the non-blocking send of coll.Transport. Socket writes are
-// buffered by the kernel and the peer's reader goroutine always drains,
-// so the link always has room and TrySend never refuses.
-func (p *Proc) TrySend(dst int, v algebra.Value, tag int) bool {
-	p.send(dst, tag, false, v)
-	return true
-}
-
-// take dequeues the next packet from src, surfacing a dead link as a
-// panic instead of a hang. Delivered messages win over a concurrent link
-// failure: the mailbox is drained before the poison is surfaced, so a
-// peer closing right after its last send never loses that send.
-func (p *Proc) take(src int) packet {
-	p.checkRank(src)
-	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
-		return pkt
-	default:
-	}
-	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
-		return pkt
-	case <-p.dead:
-		select {
-		case pkt := <-p.mail[src]:
-			p.recvd++
-			return pkt
-		default:
-		}
-		panic(fmt.Sprintf("mpbackend: rank %d: %v", p.rank, p.failErr))
-	}
-}
-
-// accept enforces the tag discipline shared with the other backends.
-func (p *Proc) accept(pkt packet, src, tag int) packet {
-	if pkt.tag != tag {
-		panic(fmt.Sprintf("mpbackend: rank %d expected tag %d from rank %d, got %d", p.rank, tag, src, pkt.tag))
-	}
+// Outbound encodes the frame while the value is still readable: SendMove
+// poisons it right after.
+func (s *sockLink) Outbound(dst int, pkt backend.Packet) backend.Packet {
+	s.frame = appendFrame(s.frame[:0], pkt.Tag, pkt.Owned, pkt.Value)
 	return pkt
 }
 
-// Recv receives the next message from rank src, blocking until it
-// arrives.
-func (p *Proc) Recv(src, tag int) algebra.Value {
-	return p.accept(p.take(src), src, tag).value
-}
-
-// RecvOwned receives like Recv and reports whether the message moved
-// ownership here (coll.Mover). Every received value is freshly decoded
-// private storage, but the flag is carried on the wire so borrow/move
-// semantics match the in-process transports exactly.
-func (p *Proc) RecvOwned(src, tag int) (algebra.Value, bool) {
-	pkt := p.accept(p.take(src), src, tag)
-	return pkt.value, pkt.owned
-}
-
-// Exchange performs the simultaneous bidirectional swap with partner.
-// Both sides write first — kernel socket buffers and the always-draining
-// reader goroutines keep that deadlock-free — then read.
-func (p *Proc) Exchange(partner int, v algebra.Value, tag int) algebra.Value {
-	if partner == p.rank {
-		panic(fmt.Sprintf("mpbackend: rank %d exchanging with itself", p.rank))
+// Deliver writes the encoded frame to dst's socket. Kernel buffers and
+// the peer's always-draining reader mean the link always has room, so a
+// TrySend is never refused.
+func (s *sockLink) Deliver(c *backend.Core, dst int, _ backend.Packet, _ bool) bool {
+	l := s.links[dst]
+	if _, err := l.w.Write(s.frame); err != nil {
+		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", c.Rank(), dst, err))
 	}
-	p.send(partner, tag, false, v)
-	return p.accept(p.take(partner), partner, tag).value
-}
-
-// RecvAny dequeues the next message from src regardless of tag
-// (coll.Transport).
-func (p *Proc) RecvAny(src int) (algebra.Value, int) {
-	pkt := p.take(src)
-	return pkt.value, pkt.tag
-}
-
-// TryRecvAny dequeues an already-arrived message from src, if any
-// (coll.Transport).
-func (p *Proc) TryRecvAny(src int) (algebra.Value, int, bool) {
-	p.checkRank(src)
-	select {
-	case pkt := <-p.mail[src]:
-		p.recvd++
-		return pkt.value, pkt.tag, true
-	default:
-		return nil, 0, false
+	if err := l.w.Flush(); err != nil {
+		panic(fmt.Sprintf("mpbackend: rank %d sending to rank %d: %v", c.Rank(), dst, err))
 	}
-}
-
-func (p *Proc) checkRank(r int) {
-	if r < 0 || r >= p.p {
-		panic(fmt.Sprintf("mpbackend: rank %d out of range [0,%d)", r, p.p))
-	}
+	return true
 }
 
 // ctrlBase offsets the barrier's control tags far below every application
@@ -355,24 +184,22 @@ const ctrlBase = -(1 << 40)
 // barrier-released runs of the in-process backends. Control traffic does
 // not count toward the message/word counters.
 func (p *Proc) Barrier() {
-	if p.p == 1 {
+	if p.Size() == 1 {
 		return
 	}
 	p.ctrlseq++
 	tag := ctrlBase - p.ctrlseq
-	sent, words := p.sent, p.sentWords
-	if p.rank == 0 {
-		for r := 1; r < p.p; r++ {
-			p.accept(p.take(r), r, tag)
-			p.recvd--
+	counted := p.Count
+	if p.Rank() == 0 {
+		for r := 1; r < p.Size(); r++ {
+			p.Recv(r, tag)
 		}
-		for r := 1; r < p.p; r++ {
-			p.send(r, tag, false, algebra.Scalar(0))
+		for r := 1; r < p.Size(); r++ {
+			p.Send(r, algebra.Scalar(0), tag)
 		}
 	} else {
-		p.send(0, tag, false, algebra.Scalar(0))
-		p.accept(p.take(0), 0, tag)
-		p.recvd--
+		p.Send(0, algebra.Scalar(0), tag)
+		p.Recv(0, tag)
 	}
-	p.sent, p.sentWords = sent, words
+	p.Count = counted
 }

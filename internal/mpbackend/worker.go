@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,7 +49,6 @@ type jobSpec struct {
 // rankOut is one rank's result envelope (out.<rank>.json).
 type rankOut struct {
 	Result json.RawMessage `json:"result,omitempty"`
-	Err    string          `json:"error,omitempty"`
 	// Msgs, Words and Ops are the rank's traffic and work counters,
 	// comparable with the other backends' Result fields.
 	Msgs  int     `json:"msgs"`
@@ -102,9 +102,15 @@ func runWorker(dir string, rank int) (err error) {
 		timeout = DefaultTimeout
 	}
 	// Belt-and-braces watchdog: a wedged rank exits on its own even if
-	// the coordinator's kill never arrives.
+	// the coordinator's kill never arrives, and says what it was blocked
+	// on — the coordinator quotes the line in the job's error.
+	var running atomic.Pointer[Proc]
 	watchdog := time.AfterFunc(timeout, func() {
-		fmt.Fprintf(os.Stderr, "mpbackend: rank %d timed out after %v\n", rank, timeout)
+		state := "connecting"
+		if pr := running.Load(); pr != nil {
+			state = pr.WaitState()
+		}
+		fmt.Fprintf(os.Stderr, "mpbackend: rank %d timed out after %v: %s\n", rank, timeout, state)
 		os.Exit(3)
 	})
 	defer watchdog.Stop()
@@ -112,33 +118,34 @@ func runWorker(dir string, rank int) (err error) {
 	if err != nil {
 		return err
 	}
-	out := rankOut{}
-	res, bodyErr := func() (res any, bodyErr error) {
+	defer pr.sock.close()
+	running.Store(pr)
+	res, err := func() (res any, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				bodyErr = fmt.Errorf("panic: %v", r)
+				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
 		return body(pr, spec.Params)
 	}()
-	if bodyErr != nil {
-		out.Err = bodyErr.Error()
-	} else if res != nil {
+	if err != nil {
+		// A failed rank skips the final barrier and exits non-zero: its
+		// closed links unwedge the others, and its error reaches the
+		// coordinator through stderr like any other failure.
+		return err
+	}
+	out := rankOut{Msgs: pr.Count.Sent, Words: pr.Count.Words, Ops: pr.Count.Ops}
+	if res != nil {
 		if out.Result, err = json.Marshal(res); err != nil {
-			out.Err = fmt.Sprintf("unmarshalable body result: %v", err)
+			return fmt.Errorf("unmarshalable body result: %v", err)
 		}
 	}
-	out.Msgs, out.Words, out.Ops = pr.sent, pr.sentWords, pr.ops
 	// Orderly shutdown: meet every peer at a final barrier before
-	// closing any link, so no rank observes EOF mid-protocol. A failed
-	// rank skips the barrier — its closed links then unwedge the others.
-	if bodyErr == nil {
-		func() {
-			defer func() { recover() }() // a peer may have failed already
-			pr.Barrier()
-		}()
-	}
-	pr.close()
+	// closing any link, so no rank observes EOF mid-protocol.
+	func() {
+		defer func() { recover() }() // a peer may have failed already
+		pr.Barrier()
+	}()
 	data, err = json.Marshal(out)
 	if err != nil {
 		return err
