@@ -67,15 +67,18 @@ func NewCostGuidedEngine(p cost.Params) *Engine {
 	return e
 }
 
+// defaultRules is the rule set of an engine with nil Rules, built once.
+// The sparse message-combining rules ride along by default: their
+// patterns only match sparse stages (halo, reduce_scatterv, allgatherv),
+// so they are inert on dense programs and cannot change any existing
+// optimization. The engine only reads it.
+var defaultRules = append(All(), Sparse()...)
+
 func (e *Engine) rules() []Rule {
 	if e.Rules != nil {
 		return e.Rules
 	}
-	// The sparse message-combining rules ride along by default: their
-	// patterns only match sparse stages (halo, reduce_scatterv,
-	// allgatherv), so they are inert on dense programs and cannot change
-	// any existing optimization.
-	return append(All(), Sparse()...)
+	return defaultRules
 }
 
 // Step performs the first applicable rule application, scanning stages

@@ -422,13 +422,19 @@ func All() []Rule {
 	}
 }
 
+// rulesByName indexes the paper rules, the extensions and the sparse
+// rules by name, built once for ByName.
+var rulesByName = func() map[string]Rule {
+	idx := make(map[string]Rule)
+	for _, r := range AllWithExtensions() {
+		idx[r.Name] = r
+	}
+	return idx
+}()
+
 // ByName returns the named rule, searching the paper rules and the
 // extensions.
 func ByName(name string) (Rule, bool) {
-	for _, r := range AllWithExtensions() {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
+	r, ok := rulesByName[name]
+	return r, ok
 }

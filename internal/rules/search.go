@@ -219,18 +219,15 @@ func splice(stages []term.Term, pos, window int, repl []term.Term) term.Term {
 // of the original and optimized program under the functional semantics —
 // the searched counterpart of VerifyOptimization, and the plan-cache
 // entry point for the search strategy (package serve).
+//
+// As in VerifyOptimization, an empty derivation is verified by identity,
+// without sampling: SearchOptimize returns t itself whenever its
+// derivation is empty (a greedy plan with no application is t, and so is
+// a searched root that no rewrite beat), and t equals itself at every
+// machine size.
 func VerifySearchOptimization(e *Engine, t term.Term, cfg VerifyConfig, scfg SearchConfig) (term.Term, []Application, SearchStats, error) {
 	opt, apps, stats := e.SearchOptimize(t, scfg)
-	for _, app := range apps {
-		if err := VerifyApplication(app, cfg); err != nil {
-			return nil, nil, stats, err
-		}
-		if r, ok := ByName(app.Rule); ok && r.Class == "Local" {
-			cfg.Pow2Only = true
-			cfg.Sizes = nil
-		}
-	}
-	if err := VerifyEquivalence(t, opt, cfg); err != nil {
+	if err := verifyDerivation(t, opt, apps, cfg); err != nil {
 		return nil, nil, stats, err
 	}
 	return opt, apps, stats, nil

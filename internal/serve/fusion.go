@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -43,6 +44,10 @@ func Fusible(t term.Seq) bool {
 
 // wordBytes is the accounting size of one block word (a float64).
 const wordBytes = 8
+
+// maxWords is the largest block, alone or fused, whose byte size
+// words*wordBytes fits an int.
+const maxWords = math.MaxInt / wordBytes
 
 // FusionStats is the /metrics snapshot of the fusion layer.
 type FusionStats struct {
@@ -126,13 +131,26 @@ func fusionKey(canonical string, m core.Machine, strat Strategy, autoSel bool) s
 // Submit enrolls one request in the fusion window and blocks until its
 // batch flushes, returning the shared plan, whether it came from the
 // cache, and the member's FusionInfo. The caller has already checked
-// Fusible.
+// that the program is Fusible and that mach.M is at most maxWords, as
+// the /optimize handler does. A batch never sums past maxWords: a
+// member that would overflow it flushes the open batch and starts the
+// next one.
 func (f *Fuser) Submit(t term.Seq, canonical string, mach core.Machine, strat Strategy, autoSel bool) (Plan, bool, FusionInfo, error) {
 	key := fusionKey(canonical, mach, strat, autoSel)
 	mem := &fusionMember{m: mach.M, ch: make(chan fusionResult, 1)}
 
 	f.mu.Lock()
 	b := f.pending[key]
+	var overfull *fusionBatch
+	if b != nil && b.words > maxWords-mach.M {
+		// The fused block would overflow: flush the open batch as it
+		// stands and start a new one with this member.
+		overfull = b
+		b.flushed = true
+		delete(f.pending, key)
+		b.timer.Stop()
+		b = nil
+	}
 	if b == nil {
 		b = &fusionBatch{canonical: canonical, t: t, mach: mach, strat: strat, autoSel: autoSel}
 		f.pending[key] = b
@@ -148,6 +166,9 @@ func (f *Fuser) Submit(t term.Seq, canonical string, mach core.Machine, strat St
 	}
 	f.mu.Unlock()
 
+	if overfull != nil {
+		f.run(overfull)
+	}
 	if full {
 		f.run(b)
 	}

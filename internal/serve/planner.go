@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -29,8 +31,11 @@ type Plan struct {
 	// machine parameters.
 	CostBefore float64 `json:"cost_before"`
 	CostAfter  float64 `json:"cost_after"`
-	// Verified reports that every rule application and the end-to-end
-	// rewriting were checked under the functional semantics.
+	// Verified reports that the derivation was checked under the
+	// functional semantics. An empty derivation is verified by identity
+	// (the plan is the program itself); a rewritten plan had every rule
+	// application and the end-to-end rewriting sampled at the verifier's
+	// sizes plus the plan's own p (when p ≤ 16).
 	Verified bool `json:"verified"`
 	// Strategy is the optimizer that produced the plan ("greedy" or
 	// "search").
@@ -158,20 +163,45 @@ func (pl *Planner) PlanTermOpts(t term.Seq, m core.Machine, strat Strategy, auto
 	})
 }
 
+// maxVerifySize is the largest request p the verifier also samples at;
+// term evaluation is linear in p, so larger machines stay with the
+// configured sizes.
+const maxVerifySize = 16
+
+// verifySizes returns sizes with p added in ascending order when
+// p ≤ maxVerifySize and sizes does not list it yet, and sizes itself
+// otherwise. A nil list keeps the verifier's defaults.
+func verifySizes(sizes []int, p int) []int {
+	if sizes == nil || p > maxVerifySize || slices.Contains(sizes, p) {
+		return sizes
+	}
+	out := append(slices.Clone(sizes), p)
+	slices.Sort(out)
+	return out
+}
+
 // compute runs the selected optimizer (and, when Verify is set, the
-// semantic verifier) — the single-flight body behind every cache miss.
+// semantic verifier at the configured sizes plus the request's p) — the
+// single-flight body behind every cache miss. A plan whose cost estimate
+// is not finite is an error, so it is never cached or served.
 func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat Strategy, autoSel bool) (Plan, error) {
 	pl.engineRuns.Add(1)
 	prog := core.FromTerm(t)
+	vcfg := pl.VerifyCfg
+	vcfg.Sizes = verifySizes(vcfg.Sizes, m.P)
 	opt, err := prog.OptimizeOpts(m, core.OptimizeOptions{
 		Search:       strat == StrategySearch,
 		SearchConfig: pl.SearchCfg,
 		Auto:         autoSel,
 		Verify:       pl.Verify,
-		VerifyConfig: pl.VerifyCfg,
+		VerifyConfig: vcfg,
 	})
 	if err != nil {
 		return Plan{}, fmt.Errorf("verification failed: %w", err)
+	}
+	if !finite(opt.EstimateBefore) || !finite(opt.EstimateAfter) {
+		return Plan{}, fmt.Errorf("cost estimate is not finite at ts=%g tw=%g p=%d m=%d: %g -> %g",
+			m.Ts, m.Tw, m.P, m.M, opt.EstimateBefore, opt.EstimateAfter)
 	}
 	optTerm := term.Compose(opt.Program.Term())
 	plan := Plan{
@@ -194,3 +224,5 @@ func (pl *Planner) compute(t term.Seq, canonical string, m core.Machine, strat S
 // EngineRuns is the number of engine invocations so far — every cache
 // miss costs exactly one; the single-flight tests pin this.
 func (pl *Planner) EngineRuns() int64 { return pl.engineRuns.Load() }
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }

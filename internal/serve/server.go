@@ -207,8 +207,11 @@ func (s *Server) machineFor(req Request) (core.Machine, error) {
 	if m.M < 1 {
 		return m, fmt.Errorf("m must be positive, got %d", m.M)
 	}
-	if m.Ts < 0 || m.Tw < 0 {
-		return m, fmt.Errorf("ts and tw must be non-negative, got ts=%g tw=%g", m.Ts, m.Tw)
+	if m.M > maxWords {
+		return m, fmt.Errorf("m must be at most %d words (its byte size must fit an int), got %d", maxWords, m.M)
+	}
+	if m.Ts < 0 || m.Tw < 0 || !finite(m.Ts) || !finite(m.Tw) {
+		return m, fmt.Errorf("ts and tw must be finite and non-negative, got ts=%g tw=%g", m.Ts, m.Tw)
 	}
 	return m, nil
 }
@@ -278,10 +281,16 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON encodes v before committing the status, so a value that does
+// not encode (a non-finite float) becomes a JSON 500 instead of a 200
+// with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encoding the response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
