@@ -64,22 +64,15 @@ func BenchmarkTable1(b *testing.B) {
 	mach.P = 32
 	mach.M = 16
 	for _, pat := range exper.Patterns() {
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			b.Fatalf("no rule %s", pat.Rule)
-		}
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = mach.P
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			b.Fatalf("rule %s did not apply", pat.Rule)
+		_, rhs, err := pat.Rewrite(mach.P)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.Run(pat.Rule+"/before", func(b *testing.B) {
 			benchProgram(b, pat.LHS, mach)
 		})
 		b.Run(pat.Rule+"/after", func(b *testing.B) {
-			benchProgram(b, core.FromTerm(opt), mach)
+			benchProgram(b, rhs, mach)
 		})
 	}
 }

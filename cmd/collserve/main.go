@@ -74,6 +74,11 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a connection
+// open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -175,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "collserve: machine ts=%g tw=%g p=%d m=%d, cache %d entries, fusion window %gms/%d reqs/%d bytes\n",
 		*ts, *tw, *p, *m, *cacheSize, *cycleMs, *fuseCount, *fuseBytes)
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

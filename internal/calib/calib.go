@@ -38,7 +38,6 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/coll"
 	"repro/internal/mpbackend"
@@ -188,28 +187,29 @@ func QuickConfig() Config {
 	}
 }
 
-// sink keeps the compute probe's result alive.
-var sink algebra.Value
-
-// Measure runs every probe of the configuration on the native backend
-// and returns the samples, ready for FitSamples. The compute probe only
-// runs at block sizes of 64 words and up: below that the per-ApplyInto
-// dispatch overhead dominates the per-word cost and would contaminate
-// the fitted unit — in the collectives that overhead is a per-message
-// effect and lands in TsNs, where it belongs.
-func Measure(cfg Config) []Sample {
-	workers := runtime.GOMAXPROCS(0)
+// plan returns the probe plan of a configuration in measurement order:
+// the samples to take, with their probe, group size, block size and
+// in-run iteration count, not yet timed. Ping-pong runs at every block
+// size with 4×Rounds round trips. The compute probe only runs at block
+// sizes of 64 words and up (once at 64 when the sweep has none), with
+// Rounds·max(16, 4096/m) iterations so every size rises above timer
+// resolution: below 64 words the per-ApplyInto dispatch overhead
+// dominates the per-word cost and would contaminate the fitted unit — in
+// the collectives that overhead is a per-message effect and lands in
+// TsNs, where it belongs. The butterfly collectives run at every group
+// size p ≥ 2 and every block size, Rounds times.
+func plan(cfg Config) []Sample {
 	var out []Sample
 	computeOnce := true
 	for _, m := range cfg.Ms {
-		out = append(out, pingpong(m, cfg, workers))
+		out = append(out, Sample{Probe: ProbePingPong, P: 2, M: m, Rounds: cfg.Rounds * 4})
 		if m >= 64 {
-			out = append(out, compute(m, cfg, workers))
+			out = append(out, Sample{Probe: ProbeCompute, P: 1, M: m, Rounds: cfg.Rounds * max(16, 4096/m)})
 			computeOnce = false
 		}
 	}
 	if computeOnce {
-		out = append(out, compute(64, cfg, workers))
+		out = append(out, Sample{Probe: ProbeCompute, P: 1, M: 64, Rounds: cfg.Rounds * max(16, 4096/64)})
 	}
 	for _, p := range cfg.Ps {
 		if p < 2 {
@@ -217,94 +217,71 @@ func Measure(cfg Config) []Sample {
 		}
 		for _, m := range cfg.Ms {
 			for _, probe := range []string{ProbeBcast, ProbeReduce, ProbeScan} {
-				out = append(out, collectiveProbe(probe, p, m, cfg, workers))
+				out = append(out, Sample{Probe: probe, P: p, M: m, Rounds: cfg.Rounds})
 			}
 		}
 	}
 	return out
 }
 
-// minRun executes body on a fresh machine of p ranks reps+1 times and
-// returns the minimum makespan in nanoseconds, discarding the first
-// (warm-up) run.
-func minRun(p, reps int, body func(pr *backend.Proc)) float64 {
-	mach := backend.New(p)
+// probeMeasurer is the substrate of the calibration: it times one
+// planned sample — the minimum over reps repetitions, after one
+// discarded warm-up, of the probe run's makespan in nanoseconds.
+type probeMeasurer func(s Sample, reps int) (float64, error)
+
+// measure takes every sample of the configuration's plan with the
+// substrate's measurer and fills in its time and its model coefficients
+// for a host of the given parallelism.
+func measure(cfg Config, workers int, run probeMeasurer) ([]Sample, error) {
+	samples := plan(cfg)
+	for i := range samples {
+		s := &samples[i]
+		ns, err := run(*s, cfg.Reps)
+		if err != nil {
+			return nil, err
+		}
+		s.Ns = ns
+		s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
+	}
+	return samples, nil
+}
+
+// Measure runs every probe of the configuration on the native backend
+// and returns the samples, ready for FitSamples. The coefficients assume
+// GOMAXPROCS workers.
+func Measure(cfg Config) ([]Sample, error) {
+	return measure(cfg, runtime.GOMAXPROCS(0), nativeProbe)
+}
+
+// nativeProbe times a sample on a fresh native machine of s.P ranks,
+// each running its mpbackend.ProbeKernel operation; the kernels are
+// built before the first run.
+func nativeProbe(s Sample, reps int) (float64, error) {
+	ops := make([]func(coll.Comm), s.P)
+	for r := range ops {
+		op, err := mpbackend.ProbeKernel(s.Probe, r, s.P, s.M, s.Rounds)
+		if err != nil {
+			return 0, err
+		}
+		ops[r] = op
+	}
+	mach := backend.New(s.P)
 	best := math.MaxFloat64
 	for i := 0; i <= reps; i++ {
-		res := mach.Run(body)
+		res := mach.Run(func(pr *backend.Proc) { ops[pr.Rank()](pr) })
 		if ns := float64(res.Makespan.Nanoseconds()); i > 0 && ns < best {
 			best = ns
 		}
 	}
-	return best
-}
-
-func pingpong(m int, cfg Config, workers int) Sample {
-	rounds := cfg.Rounds * 4
-	v := mpbackend.SeededInputs(1, 1, m)[0]
-	ns := minRun(2, cfg.Reps, func(pr *backend.Proc) {
-		for i := 0; i < rounds; i++ {
-			t1, t2 := pr.NextTag(), pr.NextTag()
-			if pr.Rank() == 0 {
-				pr.Send(1, v, t1)
-				pr.Recv(1, t2)
-			} else {
-				w := pr.Recv(0, t1)
-				pr.Send(0, w, t2)
-			}
-		}
-	})
-	s := Sample{Probe: ProbePingPong, P: 2, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
-}
-
-func compute(m int, cfg Config, workers int) Sample {
-	// Scale the iteration count so every block size executes enough
-	// operations to rise above timer resolution.
-	rounds := cfg.Rounds * max(16, 4096/m)
-	in := mpbackend.SeededInputs(2, 2, m)
-	v0, w := in[0].(algebra.Vec), in[1]
-	acc := make(algebra.Vec, m)
-	ns := minRun(1, cfg.Reps, func(pr *backend.Proc) {
-		copy(acc, v0)
-		// The in-place kernel, not the boxed reference: the unit must
-		// price the path the collectives actually run.
-		v := algebra.Value(acc)
-		for i := 0; i < rounds; i++ {
-			v = algebra.Add.ApplyInto(v, v, w)
-		}
-		sink = v
-	})
-	s := Sample{Probe: ProbeCompute, P: 1, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
-}
-
-func collectiveProbe(probe string, p, m int, cfg Config, workers int) Sample {
-	blocks := mpbackend.SeededInputs(3, p, m)
-	rounds := cfg.Rounds
-	ns := minRun(p, cfg.Reps, func(pr *backend.Proc) {
-		v := blocks[pr.Rank()]
-		for i := 0; i < rounds; i++ {
-			switch probe {
-			case ProbeBcast:
-				coll.Bcast(pr, 0, v)
-			case ProbeReduce:
-				coll.Reduce(pr, 0, algebra.Add, v)
-			case ProbeScan:
-				coll.Scan(pr, algebra.Add, v)
-			}
-		}
-	})
-	s := Sample{Probe: probe, P: p, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(s.Probe, s.P, s.M, s.Rounds, workers)
-	return s
+	return best, nil
 }
 
 // Calibrate measures and fits in one call.
 func Calibrate(cfg Config) (Fit, []Sample, error) {
-	samples := Measure(cfg)
+	samples, err := Measure(cfg)
+	if err != nil {
+		return Fit{}, nil, err
+	}
 	fit, err := FitSamples(samples)
 	return fit, samples, err
 }

@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,10 @@ import (
 
 func TestMeasureProducesFittableSamples(t *testing.T) {
 	cfg := QuickConfig()
-	samples := Measure(cfg)
+	samples, err := Measure(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(samples) == 0 {
 		t.Fatal("no samples measured")
 	}
@@ -131,5 +135,63 @@ func TestReadReportRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadReport(empty); err == nil {
 		t.Error("a report without a usable fit must be an error")
+	}
+}
+
+// TestProbePlan pins the probe plan (probe, p, m, rounds) of both
+// shipped configurations: ping-pong at every m with 4×Rounds, compute at
+// m ≥ 64 with Rounds·max(16, 4096/m), the collectives at every p ≥ 2
+// and every m with Rounds.
+func TestProbePlan(t *testing.T) {
+	render := func(cfg Config) string {
+		var lines []string
+		for _, s := range plan(cfg) {
+			lines = append(lines, fmt.Sprintf("%s %d %d %d", s.Probe, s.P, s.M, s.Rounds))
+		}
+		return strings.Join(lines, ", ")
+	}
+	quick := strings.Join([]string{
+		"pingpong 2 1 32", "pingpong 2 16 32", "pingpong 2 256 32", "compute 1 256 128",
+		"pingpong 2 1024 32", "compute 1 1024 128",
+		"bcast 2 1 8", "reduce 2 1 8", "scan 2 1 8", "bcast 2 16 8", "reduce 2 16 8", "scan 2 16 8",
+		"bcast 2 256 8", "reduce 2 256 8", "scan 2 256 8", "bcast 2 1024 8", "reduce 2 1024 8", "scan 2 1024 8",
+		"bcast 4 1 8", "reduce 4 1 8", "scan 4 1 8", "bcast 4 16 8", "reduce 4 16 8", "scan 4 16 8",
+		"bcast 4 256 8", "reduce 4 256 8", "scan 4 256 8", "bcast 4 1024 8", "reduce 4 1024 8", "scan 4 1024 8",
+	}, ", ")
+	if got := render(QuickConfig()); got != quick {
+		t.Errorf("QuickConfig plan:\n got %s\nwant %s", got, quick)
+	}
+	def := []string{
+		"pingpong 2 1 128", "pingpong 2 4 128", "pingpong 2 16 128", "pingpong 2 64 128", "compute 1 64 2048",
+		"pingpong 2 256 128", "compute 1 256 512", "pingpong 2 1024 128", "compute 1 1024 512",
+		"pingpong 2 4096 128", "compute 1 4096 512",
+		"bcast 2 1 32", "reduce 2 1 32", "scan 2 1 32",
+		"bcast 2 4 32", "reduce 2 4 32", "scan 2 4 32",
+		"bcast 2 16 32", "reduce 2 16 32", "scan 2 16 32",
+		"bcast 2 64 32", "reduce 2 64 32", "scan 2 64 32",
+		"bcast 2 256 32", "reduce 2 256 32", "scan 2 256 32",
+		"bcast 2 1024 32", "reduce 2 1024 32", "scan 2 1024 32",
+		"bcast 2 4096 32", "reduce 2 4096 32", "scan 2 4096 32",
+		"bcast 4 1 32", "reduce 4 1 32", "scan 4 1 32",
+		"bcast 4 4 32", "reduce 4 4 32", "scan 4 4 32",
+		"bcast 4 16 32", "reduce 4 16 32", "scan 4 16 32",
+		"bcast 4 64 32", "reduce 4 64 32", "scan 4 64 32",
+		"bcast 4 256 32", "reduce 4 256 32", "scan 4 256 32",
+		"bcast 4 1024 32", "reduce 4 1024 32", "scan 4 1024 32",
+		"bcast 4 4096 32", "reduce 4 4096 32", "scan 4 4096 32",
+		"bcast 8 1 32", "reduce 8 1 32", "scan 8 1 32",
+		"bcast 8 4 32", "reduce 8 4 32", "scan 8 4 32",
+		"bcast 8 16 32", "reduce 8 16 32", "scan 8 16 32",
+		"bcast 8 64 32", "reduce 8 64 32", "scan 8 64 32",
+		"bcast 8 256 32", "reduce 8 256 32", "scan 8 256 32",
+		"bcast 8 1024 32", "reduce 8 1024 32", "scan 8 1024 32",
+		"bcast 8 4096 32", "reduce 8 4096 32", "scan 8 4096 32",
+	}
+	if got, want := render(DefaultConfig()), strings.Join(def, ", "); got != want {
+		t.Errorf("DefaultConfig plan:\n got %s\nwant %s", got, want)
+	}
+	// Without a block size of 64 words or more, compute runs once at 64.
+	if got, want := render(Config{Ms: []int{1, 16}, Rounds: 2}), "pingpong 2 1 8, pingpong 2 16 8, compute 1 64 128"; got != want {
+		t.Errorf("small-block plan: got %s, want %s", got, want)
 	}
 }

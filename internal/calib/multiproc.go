@@ -7,16 +7,16 @@ import (
 	"repro/internal/mpbackend"
 )
 
-// This file is the multi-process half of the calibration: the same probe
-// family as Measure — ping-pong, compute, and the butterfly collectives —
-// run with the ranks as separate OS processes over Unix sockets (package
-// mpbackend). On the in-process backends a send hands over a reference,
-// so the fitted per-word cost TwNs is indistinguishable from zero and the
-// bandwidth-oriented algorithms never win; across process boundaries
-// every message is serialized through the kernel, tw > 0 becomes
-// measurable, and the crossovers of the §4.1 model appear for real. The
-// fitted section lands in the calibration report under "multiproc" — see
-// CALIB_native.json.
+// This file is the multi-process substrate of the calibration: the same
+// probe plan and kernels as Measure — ping-pong, compute, and the
+// butterfly collectives — run with the ranks as separate OS processes
+// over Unix sockets (package mpbackend). On the in-process backends a
+// send hands over a reference, so the fitted per-word cost TwNs is
+// indistinguishable from zero and the bandwidth-oriented algorithms never
+// win; across process boundaries every message is serialized through
+// the kernel, tw > 0 becomes measurable, and the crossovers of the §4.1
+// model appear for real. The fitted section lands in the calibration
+// report under "multiproc" — see CALIB_native.json.
 //
 // Any binary calling into this file must invoke mpbackend.MaybeWorker()
 // first thing in main (or TestMain): the probes re-execute the running
@@ -40,75 +40,23 @@ type MPSection struct {
 	Algos []AlgoValidation `json:"algos,omitempty"`
 }
 
-// probeMP runs one probe as an mpbackend job and returns its sample: the
-// minimum over cfg.Reps barrier-synchronized repetitions of the
-// max-over-ranks makespan, after one discarded warm-up.
-func probeMP(probe string, p, m, rounds int, cfg Config, workers int) (Sample, error) {
-	res, err := mpbackend.Run("probe", p, mpbackend.ProbeParams{
-		Probe: probe, M: m, Rounds: rounds, Reps: cfg.Reps,
+// mpProbe times a sample as an mpbackend "probe" job: the minimum over
+// reps barrier-synchronized repetitions of the max-over-ranks makespan,
+// after one discarded warm-up.
+func mpProbe(s Sample, reps int) (float64, error) {
+	res, err := mpbackend.Run("probe", s.P, mpbackend.ProbeParams{
+		Probe: s.Probe, M: s.M, Rounds: s.Rounds, Reps: reps,
 	}, mpbackend.Options{})
 	if err != nil {
-		return Sample{}, fmt.Errorf("calib: multiproc %s probe (p=%d m=%d): %w", probe, p, m, err)
+		return 0, fmt.Errorf("calib: multiproc %s probe (p=%d m=%d): %w", s.Probe, s.P, s.M, err)
 	}
-	ns, err := mpbackend.MinMakespan(res)
-	if err != nil {
-		return Sample{}, err
-	}
-	s := Sample{Probe: probe, P: p, M: m, Rounds: rounds, Ns: ns}
-	s.CoefTs, s.CoefTw, s.CoefC = Coef(probe, p, m, rounds, workers)
-	return s, nil
-}
-
-// MeasureMP runs every probe of the configuration across process
-// boundaries and returns the samples, ready for FitSamples. The probe
-// kinds, iteration scaling and compute-probe gating mirror Measure
-// exactly — only the transport differs.
-func MeasureMP(cfg Config) ([]Sample, error) {
-	workers := runtime.NumCPU()
-	var out []Sample
-	add := func(s Sample, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, s)
-		return nil
-	}
-	computeOnce := true
-	for _, m := range cfg.Ms {
-		if err := add(probeMP(ProbePingPong, 2, m, cfg.Rounds*4, cfg, workers)); err != nil {
-			return nil, err
-		}
-		if m >= 64 {
-			if err := add(probeMP(ProbeCompute, 1, m, cfg.Rounds*max(16, 4096/m), cfg, workers)); err != nil {
-				return nil, err
-			}
-			computeOnce = false
-		}
-	}
-	if computeOnce {
-		if err := add(probeMP(ProbeCompute, 1, 64, cfg.Rounds*max(16, 4096/64), cfg, workers)); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range cfg.Ps {
-		if p < 2 {
-			continue
-		}
-		for _, m := range cfg.Ms {
-			for _, probe := range []string{ProbeBcast, ProbeReduce, ProbeScan} {
-				if err := add(probeMP(probe, p, m, cfg.Rounds, cfg, workers)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
+	return mpbackend.MinMakespan(res)
 }
 
 // RunMP performs the multi-process calibration pipeline — measure, fit,
 // validate the portfolio crossovers — and assembles the report section.
 func RunMP(cfg Config) (*MPSection, error) {
-	samples, err := MeasureMP(cfg)
+	samples, err := measure(cfg, runtime.NumCPU(), mpProbe)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,11 @@ package calib
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exper"
 	"repro/internal/mpbackend"
-	"repro/internal/rules"
 )
 
 // RuleValidation is one rule's predicted-vs-measured break-even record:
@@ -54,8 +54,9 @@ type RuleValidation struct {
 // predicted-vs-measured break-even per rule. The predictions use the
 // calibrated parameters of fit; measurements take the minimum over
 // cfg.Reps runs. The measured crossover is located from the sweep and
-// sharpened by bisection between the bracketing sweep points, so its
-// resolution does not depend on the sweep's granularity.
+// sharpened by bisection between the bracketing sweep points
+// (exper.SweepCrossover), so its resolution does not depend on the
+// sweep's granularity.
 func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 	p := cfg.ValidateP
 	ms := cfg.ValidateMs
@@ -63,30 +64,22 @@ func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 		return nil, fmt.Errorf("calib: validation needs p ≥ 2 and a non-empty block-size sweep")
 	}
 	maxM := ms[len(ms)-1]
-	run := exper.NativeRunner(cfg.Reps)
+	run := exper.NativeRunner(cfg.Reps, backend.TransportZeroCopy)
 	var out []RuleValidation
 	for _, pat := range exper.Patterns() {
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			return nil, fmt.Errorf("calib: no rule named %s", pat.Rule)
-		}
+		r, rhs, err := pat.Rewrite(p)
 		if r.Class == "Local" && p&(p-1) != 0 {
 			// The Local rules rewrite to f^(log p) and need a
 			// power-of-two machine.
 			continue
 		}
+		if err != nil {
+			return nil, err
+		}
 		entry, ok := cost.Lookup(pat.Rule)
 		if !ok {
 			return nil, fmt.Errorf("calib: no Table 1 entry for %s", pat.Rule)
 		}
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = p
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			return nil, fmt.Errorf("calib: rule %s did not apply at p=%d", pat.Rule, p)
-		}
-		rhs := core.FromTerm(opt)
 
 		v := RuleValidation{
 			Rule: pat.Rule, Class: r.Class,
@@ -100,8 +93,9 @@ func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 			return run(rhs, mach, in) < run(pat.LHS, mach, in)
 		}
 		agree := 0
+		won := make([]bool, len(ms))
 		base := cost.Params{Ts: fit.Ts, Tw: fit.Tw, P: p}
-		for _, m := range ms {
+		for i, m := range ms {
 			mach := core.Machine{P: p, M: m}
 			in := mpbackend.SeededInputs(11, p, m)
 			run(pat.LHS, mach, in)
@@ -109,52 +103,22 @@ func Validate(fit Fit, cfg Config) ([]RuleValidation, error) {
 			rhsNs := run(rhs, mach, in)
 			v.LhsNs = append(v.LhsNs, lhsNs)
 			v.RhsNs = append(v.RhsNs, rhsNs)
+			won[i] = rhsNs < lhsNs
 			pp := base
 			pp.M = m
-			if entry.Improves(pp) == (rhsNs < lhsNs) {
+			if entry.Improves(pp) == won[i] {
 				agree++
 			}
 		}
 		v.Agreement = float64(agree) / float64(len(ms))
 		v.PredCross = cost.Crossover(entry, base, maxM)
-		v.MeasCross = measuredCrossover(v, improves, maxM)
+		v.MeasCross = exper.SweepCrossover(ms, won, false, improves)
 		v.Capped = v.PredCross == maxM && v.MeasCross == maxM
-		v.AbsErr = v.PredCross - v.MeasCross
-		if v.AbsErr < 0 {
-			v.AbsErr = -v.AbsErr
-		}
+		v.AbsErr = abs(v.PredCross - v.MeasCross)
 		v.RelErr = float64(v.AbsErr) / float64(max(v.MeasCross, 1))
 		out = append(out, v)
 	}
 	return out, nil
 }
 
-// measuredCrossover locates the largest block size at which the fused
-// side still wins. The sweep gives the bracket: the last sweep point
-// where the right-hand side measured faster, and the next point where
-// it did not; bisection with fresh native measurements then sharpens
-// the boundary inside the bracket.
-func measuredCrossover(v RuleValidation, improves func(m int) bool, maxM int) int {
-	last := -1 // index of the last sweep point where rhs won
-	for i := range v.Ms {
-		if v.RhsNs[i] < v.LhsNs[i] {
-			last = i
-		}
-	}
-	switch {
-	case last < 0:
-		return 0
-	case last == len(v.Ms)-1:
-		return maxM
-	}
-	lo, hi := v.Ms[last], v.Ms[last+1] // improves(lo), !improves(hi)
-	for i := 0; i < 8 && hi-lo > 1; i++ {
-		mid := (lo + hi) / 2
-		if improves(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func abs(x int) int { return max(x, -x) }

@@ -32,9 +32,3 @@ func ExecNative(t term.Term, nm *backend.Machine, input []algebra.Value) ([]alge
 func (p Program) RunNative(procs int, input []algebra.Value) ([]algebra.Value, backend.Result) {
 	return ExecNative(p.stages, backend.New(procs), input)
 }
-
-// RunOn is RunNative with a caller-configured machine (timeout, injected
-// start-up latency).
-func (p Program) RunOn(nm *backend.Machine, input []algebra.Value) ([]algebra.Value, backend.Result) {
-	return ExecNative(p.stages, nm, input)
-}

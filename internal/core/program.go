@@ -208,14 +208,9 @@ func (p Program) OptimizeOpts(m Machine, o OptimizeOptions) (Optimization, error
 // Optimize rewrites the program with the cost-guided engine: a rule is
 // applied only where the Table 1-style estimates predict an improvement on
 // machine m. The registry declaring the operators' algebraic properties
-// defaults to algebra.Default; use OptimizeWith to supply your own.
+// is algebra.Default; OptimizeOpts takes your own.
 func (p Program) Optimize(m Machine) Optimization {
-	return p.OptimizeWith(m, algebra.Default())
-}
-
-// OptimizeWith is Optimize with an explicit property registry.
-func (p Program) OptimizeWith(m Machine, reg *algebra.Registry) Optimization {
-	o, _ := p.OptimizeOpts(m, OptimizeOptions{Registry: reg})
+	o, _ := p.OptimizeOpts(m, OptimizeOptions{})
 	return o
 }
 

@@ -1,9 +1,12 @@
 // Package exper is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation on the virtual machine — Table 1
-// (predicted and measured), the BS-Comcast experiments of Figures 7 and 8,
-// the Figure 2/3 illustrations, and the §5 polynomial-evaluation case
-// study. Each experiment returns structured rows/series and can render
-// itself as text (tables and ASCII plots) or CSV.
+// figure of the paper's evaluation — Table 1 (predicted and measured),
+// the BS-Comcast experiments of Figures 7 and 8, the Figure 2/3
+// illustrations, and the §5 polynomial-evaluation case study. The
+// substrate a measured experiment runs on is a parameter: a Runner (the
+// virtual machine or the native backend) for programs, an AlgoMeasurer
+// (native or multi-process) for the algorithm-portfolio sweep. Each
+// experiment returns structured rows/series and can render itself as
+// text (tables and ASCII plots) or CSV.
 package exper
 
 import (

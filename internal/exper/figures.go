@@ -12,114 +12,74 @@ import (
 	"repro/internal/term"
 )
 
-// comcastVariants builds the three programs compared in Figures 7 and 8:
-// the left-hand side bcast; scan(+), the cost-optimal comcast, and the
-// bcast; repeat implementation used by rule BS-Comcast.
-func comcastVariants() (lhs, comcastOpt, bcastRepeat core.Program) {
+// comcastFigure measures the three programs compared in Figures 7 and 8
+// — the left-hand side bcast; scan(+), the cost-optimal comcast, and the
+// bcast; repeat implementation used by rule BS-Comcast — at every x of
+// the sweep, on the machine machAt(x) with seeded inputs.
+func comcastFigure(fig Figure, xs []int, seed int64, machAt func(x int) core.Machine, run Runner) Figure {
 	ops := algebra.OpCompBS(algebra.Add)
-	lhs = core.NewProgram().Bcast().Scan(algebra.Add)
-	comcastOpt = core.FromTerm(term.Comcast{Ops: ops, CostOptimal: true})
-	bcastRepeat = core.FromTerm(term.Comcast{Ops: ops})
-	return
+	progs := []core.Program{
+		core.NewProgram().Bcast().Scan(algebra.Add),
+		core.FromTerm(term.Comcast{Ops: ops, CostOptimal: true}),
+		core.FromTerm(term.Comcast{Ops: ops}),
+	}
+	labels := []string{"bcast; scan", "comcast", "bcast; repeat"}
+	for i, prog := range progs {
+		s := Series{Label: labels[i]}
+		for _, x := range xs {
+			mach := machAt(x)
+			s.X = append(s.X, float64(x))
+			s.Y = append(s.Y, run(prog, mach, mpbackend.SeededInputs(seed, mach.P, mach.M)))
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	return fig
 }
 
 // Figure7 reproduces Figure 7: run time of the three comcast variants as
 // a function of the number of processors, at fixed block size blockWords
 // (the paper uses 32·10³ on up to 64 processors). Machine sizes are the
 // powers of two up to maxP.
-func Figure7(params machine.Params, blockWords, maxP int) Figure {
-	return Figure7On(params, blockWords, maxP, RunVirtual)
-}
-
-// Figure7On is Figure7 with an explicit measurement backend.
-func Figure7On(params machine.Params, blockWords, maxP int, run Runner) Figure {
-	fig := Figure{
+func Figure7(params machine.Params, blockWords, maxP int, run Runner) Figure {
+	var ps []int
+	for p := 2; p <= maxP; p *= 2 {
+		ps = append(ps, p)
+	}
+	return comcastFigure(Figure{
 		Title:  fmt.Sprintf("Figure 7: BS-Comcast variants, block size %d", blockWords),
 		XLabel: "processors",
 		YLabel: "time",
-	}
-	lhs, opt, rep := comcastVariants()
-	labels := []string{"bcast; scan", "comcast", "bcast; repeat"}
-	progs := []core.Program{lhs, opt, rep}
-	for i, prog := range progs {
-		s := Series{Label: labels[i]}
-		for p := 2; p <= maxP; p *= 2 {
-			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: blockWords}
-			in := mpbackend.SeededInputs(7, p, blockWords)
-			s.X = append(s.X, float64(p))
-			s.Y = append(s.Y, run(prog, mach, in))
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, ps, 7, func(p int) core.Machine {
+		return core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: blockWords}
+	}, run)
 }
 
 // Figure8 reproduces Figure 8: run time of the three comcast variants as
 // a function of the block size, at fixed machine size p (64 in the
 // paper). Block sizes sweep from step to maxM in equal steps.
-func Figure8(params machine.Params, p, step, maxM int) Figure {
-	return Figure8On(params, p, step, maxM, RunVirtual)
-}
-
-// Figure8On is Figure8 with an explicit measurement backend.
-func Figure8On(params machine.Params, p, step, maxM int, run Runner) Figure {
-	fig := Figure{
+func Figure8(params machine.Params, p, step, maxM int, run Runner) Figure {
+	var ms []int
+	for m := step; m <= maxM; m += step {
+		ms = append(ms, m)
+	}
+	return comcastFigure(Figure{
 		Title:  fmt.Sprintf("Figure 8: BS-Comcast variants on %d processors", p),
 		XLabel: "block size",
 		YLabel: "time",
-	}
-	lhs, opt, rep := comcastVariants()
-	labels := []string{"bcast; scan", "comcast", "bcast; repeat"}
-	progs := []core.Program{lhs, opt, rep}
-	for i, prog := range progs {
-		s := Series{Label: labels[i]}
-		for m := step; m <= maxM; m += step {
-			mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
-			in := mpbackend.SeededInputs(8, p, m)
-			s.X = append(s.X, float64(m))
-			s.Y = append(s.Y, run(prog, mach, in))
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
+	}, ms, 8, func(m int) core.Machine {
+		return core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
+	}, run)
 }
 
 // CrossoverFigure visualizes the §4.2 analysis for one rule: the measured
 // run times of the left-hand side and the rewritten right-hand side as
 // the block size m sweeps across the predicted crossover — SS2-Scan's
 // ts > 2m, for instance, makes the two curves intersect at m = ts/2.
-func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int) Figure {
-	return CrossoverFigureOn(ruleName, params, p, ms, RunVirtual)
-}
-
-// CrossoverFigureOn is CrossoverFigure with an explicit measurement
-// backend: with NativeRunner the crossover plotted is the host's real
-// one — where the fused form's saved synchronization rounds stop paying
-// for its extra local work.
-func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, run Runner) Figure {
-	var pat *RulePattern
-	for _, candidate := range Patterns() {
-		if candidate.Rule == ruleName {
-			c := candidate
-			pat = &c
-			break
-		}
-	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
-	}
-	r, ok := rules.ByName(ruleName)
-	if !ok {
-		panic(fmt.Sprintf("exper: no rule named %s", ruleName))
-	}
-	eng := rules.NewEngine()
-	eng.Rules = []rules.Rule{r}
-	eng.Env.P = p
-	opt, apps := eng.Optimize(pat.LHS.Term())
-	if len(apps) != 1 {
-		panic(fmt.Sprintf("exper: rule %s did not apply", ruleName))
-	}
-	rhs := core.FromTerm(opt)
+// With NativeRunner the crossover plotted is the host's real one — where
+// the fused form's saved synchronization rounds stop paying for its
+// extra local work.
+func CrossoverFigure(ruleName string, params machine.Params, p int, ms []int, run Runner) Figure {
+	pat, rhs := mustRewrite(ruleName, p)
 	fig := Figure{
 		Title:  fmt.Sprintf("%s crossover (ts=%g, tw=%g, p=%d)", ruleName, params.Ts, params.Tw, p),
 		XLabel: "block size",
@@ -141,27 +101,11 @@ func CrossoverFigureOn(ruleName string, params machine.Params, p int, ms []int, 
 
 // Scaling measures strong scaling of a rule's effect: at fixed total data
 // N = p·m, sweep the machine size over the given powers of two and record
-// the virtual run times of the rule's left-hand side and its rewrite. The
-// gap grows with p — every fused start-up is paid log p times — which is
-// the operational content of the paper's claim that "good optimization
-// here may pay a lot" on large machines.
-func Scaling(ruleName string, params machine.Params, totalWords int, ps []int) Figure {
-	return ScalingOn(ruleName, params, totalWords, ps, RunVirtual)
-}
-
-// ScalingOn is Scaling with an explicit measurement backend.
-func ScalingOn(ruleName string, params machine.Params, totalWords int, ps []int, run Runner) Figure {
-	var pat *RulePattern
-	for _, candidate := range Patterns() {
-		if candidate.Rule == ruleName {
-			c := candidate
-			pat = &c
-			break
-		}
-	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
-	}
+// the run times of the rule's left-hand side and its rewrite. The gap
+// grows with p — every fused start-up is paid log p times — which is the
+// operational content of the paper's claim that "good optimization here
+// may pay a lot" on large machines.
+func Scaling(ruleName string, params machine.Params, totalWords int, ps []int, run Runner) Figure {
 	fig := Figure{
 		Title:  fmt.Sprintf("%s strong scaling (N = %d words, ts=%g, tw=%g)", ruleName, totalWords, params.Ts, params.Tw),
 		XLabel: "processors",
@@ -170,24 +114,14 @@ func ScalingOn(ruleName string, params machine.Params, totalWords int, ps []int,
 	before := Series{Label: "before"}
 	after := Series{Label: "after"}
 	for _, p := range ps {
-		r, _ := rules.ByName(ruleName)
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = p
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			panic(fmt.Sprintf("exper: rule %s did not apply at p=%d", ruleName, p))
-		}
-		m := totalWords / p
-		if m < 1 {
-			m = 1
-		}
+		pat, rhs := mustRewrite(ruleName, p)
+		m := max(totalWords/p, 1)
 		mach := core.Machine{Ts: params.Ts, Tw: params.Tw, P: p, M: m}
 		in := mpbackend.SeededInputs(5, p, m)
 		before.X = append(before.X, float64(p))
 		before.Y = append(before.Y, run(pat.LHS, mach, in))
 		after.X = append(after.X, float64(p))
-		after.Y = append(after.Y, run(core.FromTerm(opt), mach, in))
+		after.Y = append(after.Y, run(rhs, mach, in))
 	}
 	fig.Series = []Series{before, after}
 	return fig

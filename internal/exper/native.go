@@ -5,32 +5,34 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/mpbackend"
-	"repro/internal/rules"
 )
 
 // Runner measures one program run and returns its makespan — the
-// backend-selection point of the experiment harness. RunVirtual yields
+// substrate parameter of the experiment harness. RunVirtual yields
 // deterministic cost-model time units; NativeRunner yields wall-clock
-// nanoseconds on the goroutine backend. Every figure/table function has
-// an *On variant taking a Runner, so each experiment can be re-run for
-// real on the host.
+// nanoseconds on the goroutine backend. Every figure and table function
+// takes a Runner, so each experiment can be re-run for real on the host.
 type Runner func(prog core.Program, mach core.Machine, in []algebra.Value) float64
 
 // RunVirtual measures on the virtual machine: deterministic makespans in
 // cost-model time units.
 var RunVirtual Runner = measure
 
-// NativeRunner measures wall-clock nanoseconds on the native backend,
-// taking the minimum over reps runs (the standard noise filter for
-// wall-clock microbenchmarks; the minimum estimates the undisturbed run).
-// The machine's Ts/Tw are ignored — the host's real start-up and
-// bandwidth apply.
+// NativeRunner measures wall-clock nanoseconds on the native backend
+// with the given transport, taking the minimum over reps runs (the
+// standard noise filter for wall-clock microbenchmarks; the minimum
+// estimates the undisturbed run). TransportZeroCopy hands blocks over by
+// reference (the default); TransportCopy deep-copies every payload at
+// the send site, modeling a memory-isolated transport on otherwise
+// identical machinery. The machine's Ts/Tw are ignored — the host's real
+// start-up and bandwidth apply.
 //
 // Timing methodology (see package backend for the implementation): each
 // run spawns one goroutine per rank, releases all ranks together from a
@@ -40,16 +42,7 @@ var RunVirtual Runner = measure
 // slowest processor. All reps share one backend machine, so its cached
 // mailboxes and scratch arenas warm up on the first rep and the minimum
 // reflects the allocation-free steady state.
-func NativeRunner(reps int) Runner {
-	return TransportRunner(reps, backend.TransportZeroCopy)
-}
-
-// TransportRunner is NativeRunner with an explicit transport mode:
-// TransportZeroCopy hands blocks over by reference (the default),
-// TransportCopy deep-copies every payload at the send site, modeling a
-// memory-isolated transport on otherwise identical machinery — the
-// baseline the zero-copy benchmarks are measured against.
-func TransportRunner(reps int, transport backend.TransportMode) Runner {
+func NativeRunner(reps int, transport backend.TransportMode) Runner {
 	if reps < 1 {
 		reps = 1
 	}
@@ -58,7 +51,7 @@ func TransportRunner(reps int, transport backend.TransportMode) Runner {
 		nm.Transport = transport
 		best := math.MaxFloat64
 		for i := 0; i < reps; i++ {
-			_, res := prog.RunOn(nm, in)
+			_, res := core.ExecNative(prog.Term(), nm, in)
 			if ns := float64(res.Makespan.Nanoseconds()); ns < best {
 				best = ns
 			}
@@ -97,7 +90,7 @@ type NativeBenchRecord struct {
 	// rhs row means the fused form won for real.
 	Speedup float64 `json:"speedup"`
 	// PredCross and MeasCross appear on the algorithm-portfolio rows
-	// (see NativeAlgos): the block size at which the algorithm first
+	// (see Algos): the block size at which the algorithm first
 	// undercuts the butterfly, predicted by the calibrated cost lines
 	// and measured on this host; 0 means it never won in range.
 	PredCross int `json:"predicted_crossover,omitempty"`
@@ -143,41 +136,22 @@ func NativeFusion(cfg NativeFusionConfig) ([]NativeBenchRecord, error) {
 	if cfg.Reps < 1 {
 		cfg.Reps = 1
 	}
-	wanted := func(name string) bool {
-		if cfg.Rules == nil {
-			return true
-		}
-		for _, r := range cfg.Rules {
-			if r == name {
-				return true
-			}
-		}
-		return false
-	}
-	run := TransportRunner(cfg.Reps, cfg.Transport)
+	run := NativeRunner(cfg.Reps, cfg.Transport)
 	var out []NativeBenchRecord
 	for _, pat := range Patterns() {
-		if !wanted(pat.Rule) {
+		if cfg.Rules != nil && !slices.Contains(cfg.Rules, pat.Rule) {
 			continue
 		}
-		r, ok := rules.ByName(pat.Rule)
-		if !ok {
-			return nil, fmt.Errorf("exper: no rule named %s", pat.Rule)
-		}
+		r, rhs, err := pat.Rewrite(cfg.P)
 		if r.Class == "Local" && cfg.P&(cfg.P-1) != 0 {
 			// The Local rules rewrite to f^(log p) and need a
 			// power-of-two machine; skip rather than measure a rewrite
 			// that does not apply.
 			continue
 		}
-		eng := rules.NewEngine()
-		eng.Rules = []rules.Rule{r}
-		eng.Env.P = cfg.P
-		opt, apps := eng.Optimize(pat.LHS.Term())
-		if len(apps) != 1 {
-			return nil, fmt.Errorf("exper: rule %s did not apply at p=%d", pat.Rule, cfg.P)
+		if err != nil {
+			return nil, err
 		}
-		rhs := core.FromTerm(opt)
 		for _, m := range cfg.Ms {
 			mach := core.Machine{P: cfg.P, M: m}
 			in := mpbackend.SeededInputs(11, cfg.P, m)

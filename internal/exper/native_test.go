@@ -9,11 +9,12 @@ import (
 	"repro/internal/core"
 
 	"repro/internal/algebra"
+	"repro/internal/backend"
 	"repro/internal/mpbackend"
 )
 
 func TestNativeRunnerMeasuresWallClock(t *testing.T) {
-	run := NativeRunner(3)
+	run := NativeRunner(3, backend.TransportZeroCopy)
 	prog := core.NewProgram().Bcast().Scan(algebra.Add)
 	in := mpbackend.SeededInputs(2, 4, 8)
 	ns := run(prog, core.Machine{P: 4}, in)
@@ -92,7 +93,7 @@ func TestNativeFusionSkipsLocalRulesOnNonPow2(t *testing.T) {
 
 func TestTable1OnNative(t *testing.T) {
 	mach := core.Machine{Ts: 100, Tw: 1, P: 4, M: 4}
-	rows := Table1On(mach, true, NativeRunner(2))
+	rows := Table1(mach, true, NativeRunner(2, backend.TransportZeroCopy))
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(rows))
 	}

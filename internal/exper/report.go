@@ -51,13 +51,13 @@ func Report(cfg ReportConfig) string {
 	// Table 1 on a start-up-dominated machine.
 	fmt.Fprintf(&b, "### Table 1 — start-up-dominated machine (p=%d, m=%d, ts=%g, tw=%g)\n\n", cfg.P, cfg.M, cfg.Ts, cfg.Tw)
 	mach := core.Machine{Ts: cfg.Ts, Tw: cfg.Tw, P: cfg.P, M: cfg.M}
-	writeTable1MD(&b, Table1(mach, true))
+	writeTable1MD(&b, Table1(mach, true, RunVirtual))
 
 	// Table 1 on a bandwidth-dominated machine.
 	bigM := 16384
 	fmt.Fprintf(&b, "\n### Table 1 — bandwidth-dominated machine (p=%d, m=%d, ts=1, tw=%g)\n\n", cfg.P, bigM, cfg.Tw)
 	mach2 := core.Machine{Ts: 1, Tw: cfg.Tw, P: cfg.P, M: bigM}
-	writeTable1MD(&b, Table1(mach2, true))
+	writeTable1MD(&b, Table1(mach2, true, RunVirtual))
 
 	// Figure 2.
 	fmt.Fprintf(&b, "\n### Figure 2 — P1 = P2 on [1 2 3 4]\n\n")
@@ -74,10 +74,10 @@ func Report(cfg ReportConfig) string {
 
 	// Figures 7 and 8.
 	params := machine.Params{Ts: cfg.Ts, Tw: cfg.Tw}
-	fig7 := Figure7(params, 2048, 64)
+	fig7 := Figure7(params, 2048, 64, RunVirtual)
 	fmt.Fprintf(&b, "\n### Figure 7 — comcast variants vs processors (block 2048 words)\n\n```\n%s```\n\n```\n%s```\n",
 		fig7.Plot(64, 14), fig7.CSV())
-	fig8 := Figure8(params, 64, 512, 4096)
+	fig8 := Figure8(params, 64, 512, 4096, RunVirtual)
 	fmt.Fprintf(&b, "\n### Figure 8 — comcast variants vs block size (64 processors)\n\n```\n%s```\n\n```\n%s```\n",
 		fig8.Plot(64, 14), fig8.CSV())
 
@@ -85,7 +85,7 @@ func Report(cfg ReportConfig) string {
 	fmt.Fprintf(&b, "\n### Crossovers — predicted vs measured largest profitable m (ts=%g, tw=%g, p=16)\n\n", cfg.Ts, cfg.Tw)
 	fmt.Fprintf(&b, "| Rule | predicted m | measured m |\n|---|---:|---:|\n")
 	for _, rule := range []string{"SR-Reduction", "SS2-Scan", "SS-Scan"} {
-		res := MeasureCrossover(rule, core.Machine{Ts: cfg.Ts, Tw: cfg.Tw, P: 16}, 1<<15)
+		res := MeasureCrossover(rule, core.Machine{Ts: cfg.Ts, Tw: cfg.Tw, P: 16}, 1<<15, RunVirtual)
 		fmt.Fprintf(&b, "| %s | %d | %d |\n", res.Rule, res.Predicted, res.Measured)
 	}
 

@@ -39,6 +39,50 @@ func Patterns() []RulePattern {
 	}
 }
 
+// patternFor returns the pattern of the named rule.
+func patternFor(rule string) (RulePattern, bool) {
+	for _, pat := range Patterns() {
+		if pat.Rule == rule {
+			return pat, true
+		}
+	}
+	return RulePattern{}, false
+}
+
+// Rewrite applies the pattern's rule alone to its left-hand side for a
+// machine of p processors and returns the rule and the rewritten
+// right-hand side. It fails when no rule has the pattern's name (the
+// returned rule is then the zero Rule) or when the rule does not apply
+// exactly once.
+func (pat RulePattern) Rewrite(p int) (rules.Rule, core.Program, error) {
+	r, ok := rules.ByName(pat.Rule)
+	if !ok {
+		return r, core.Program{}, fmt.Errorf("exper: no rule named %s", pat.Rule)
+	}
+	eng := rules.NewEngine()
+	eng.Rules = []rules.Rule{r}
+	eng.Env.P = p
+	opt, apps := eng.Optimize(pat.LHS.Term())
+	if len(apps) != 1 {
+		return r, core.Program{}, fmt.Errorf("exper: rule %s did not apply to %s at p=%d", pat.Rule, pat.LHS, p)
+	}
+	return r, core.FromTerm(opt), nil
+}
+
+// mustRewrite is patternFor and Rewrite for the experiments that take a
+// rule name from their caller: an unknown or inapplicable rule panics.
+func mustRewrite(rule string, p int) (RulePattern, core.Program) {
+	pat, ok := patternFor(rule)
+	if !ok {
+		panic(fmt.Sprintf("exper: no pattern for %s", rule))
+	}
+	_, rhs, err := pat.Rewrite(p)
+	if err != nil {
+		panic(err)
+	}
+	return pat, rhs
+}
+
 // Table1Row is one row of the reproduced Table 1: the closed-form
 // estimates plus, when measured, the virtual-machine makespans of the
 // rule's left- and right-hand sides.
@@ -63,17 +107,11 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1 at the given parameters: for every
 // rule, the predicted before/after times and the improvement verdict. With
 // measured = true it additionally applies each rule with the rewrite
-// engine and measures both sides on the virtual machine (p must then be a
-// power of two, matching the butterfly model the predictions assume).
-func Table1(mach core.Machine, measured bool) []Table1Row {
-	return Table1On(mach, measured, RunVirtual)
-}
-
-// Table1On is Table1 with an explicit measurement backend: pass
-// NativeRunner to fill the measured columns with wall-clock nanoseconds
-// from the goroutine backend instead of virtual time units (the
-// predictions stay the closed forms either way).
-func Table1On(mach core.Machine, measured bool, run Runner) []Table1Row {
+// engine and measures both sides with run (p must then be a power of two,
+// matching the butterfly model the predictions assume): RunVirtual gives
+// virtual time units, NativeRunner wall-clock nanoseconds from the
+// goroutine backend. The predictions stay the closed forms either way.
+func Table1(mach core.Machine, measured bool, run Runner) []Table1Row {
 	params := cost.Params{Ts: mach.Ts, Tw: mach.Tw, M: mach.M, P: mach.P}
 	var out []Table1Row
 	for _, pat := range Patterns() {
@@ -89,18 +127,10 @@ func Table1On(mach core.Machine, measured bool, run Runner) []Table1Row {
 			PredImproves: entry.Improves(params),
 		}
 		if measured {
-			r, ok := rules.ByName(pat.Rule)
-			if !ok {
-				panic(fmt.Sprintf("exper: no rule named %s", pat.Rule))
+			_, rhs, err := pat.Rewrite(mach.P)
+			if err != nil {
+				panic(err)
 			}
-			eng := rules.NewEngine()
-			eng.Rules = []rules.Rule{r}
-			eng.Env.P = mach.P
-			opt, apps := eng.Optimize(pat.LHS.Term())
-			if len(apps) != 1 {
-				panic(fmt.Sprintf("exper: rule %s did not apply to %s", pat.Rule, pat.LHS))
-			}
-			rhs := core.FromTerm(opt)
 			in := mpbackend.SeededInputs(1, mach.P, mach.M)
 			row.MeasBefore = run(pat.LHS, mach, in)
 			row.MeasAfter = run(rhs, mach, in)
@@ -144,19 +174,14 @@ type CrossoverResult struct {
 }
 
 // MeasureCrossover locates the measured crossover block size of a rule by
-// bisection on the virtual machine, alongside the prediction from the
-// closed forms. maxM bounds the search. The measured makespans are exact
-// under the deterministic cost model, so bisection is sound as long as
-// the improvement is monotone in m, which it is for every Table 1 rule.
-func MeasureCrossover(ruleName string, mach core.Machine, maxM int) CrossoverResult {
-	return MeasureCrossoverOn(ruleName, mach, maxM, RunVirtual)
-}
-
-// MeasureCrossoverOn is MeasureCrossover with an explicit measurement
-// backend. With NativeRunner the bisection runs on noisy wall-clock
-// times; use enough repetitions that the improvement stays effectively
+// bisection, alongside the prediction from the closed forms. maxM bounds
+// the search. On the virtual machine (RunVirtual) the measured makespans
+// are exact under the deterministic cost model, so bisection is sound as
+// long as the improvement is monotone in m, which it is for every Table 1
+// rule. With NativeRunner the bisection runs on noisy wall-clock times;
+// use enough repetitions that the improvement stays effectively
 // monotone, and read the result as an estimate, not an exact bound.
-func MeasureCrossoverOn(ruleName string, mach core.Machine, maxM int, run Runner) CrossoverResult {
+func MeasureCrossover(ruleName string, mach core.Machine, maxM int, run Runner) CrossoverResult {
 	entry, ok := cost.Lookup(ruleName)
 	if !ok {
 		panic(fmt.Sprintf("exper: no Table 1 entry for %s", ruleName))
@@ -166,26 +191,7 @@ func MeasureCrossoverOn(ruleName string, mach core.Machine, maxM int, run Runner
 		Rule:      ruleName,
 		Predicted: cost.Crossover(entry, base, maxM),
 	}
-	var pat *RulePattern
-	for _, p := range Patterns() {
-		if p.Rule == ruleName {
-			pp := p
-			pat = &pp
-			break
-		}
-	}
-	if pat == nil {
-		panic(fmt.Sprintf("exper: no pattern for %s", ruleName))
-	}
-	r, _ := rules.ByName(ruleName)
-	eng := rules.NewEngine()
-	eng.Rules = []rules.Rule{r}
-	eng.Env.P = mach.P
-	opt, apps := eng.Optimize(pat.LHS.Term())
-	if len(apps) != 1 {
-		panic(fmt.Sprintf("exper: rule %s did not apply", ruleName))
-	}
-	rhs := core.FromTerm(opt)
+	pat, rhs := mustRewrite(ruleName, mach.P)
 	improves := func(m int) bool {
 		mm := mach
 		mm.M = m

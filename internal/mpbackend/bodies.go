@@ -66,6 +66,67 @@ func SeededInputs(seed int64, p, m int) []algebra.Value {
 	return out
 }
 
+// probeSink keeps the compute probe's result alive.
+var probeSink algebra.Value
+
+// ProbeKernel builds one rank's operation of a calibration probe —
+// "pingpong", "compute", "bcast", "reduce" or "scan" — iterated rounds
+// times at block size m, for the rank of a group of size ranks. The seeded
+// inputs (seeds 1, 2 and 3) and the compute probe's accumulator are
+// built here, so the returned operation runs only the timed work. It is
+// the one probe kernel of both substrates: calib runs it on native
+// backend ranks, the "probe" body on process ranks.
+func ProbeKernel(probe string, rank, ranks, m, rounds int) (func(c coll.Comm), error) {
+	switch probe {
+	case "pingpong":
+		if ranks != 2 {
+			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", ranks)
+		}
+		v := SeededInputs(1, 1, m)[0]
+		return func(c coll.Comm) {
+			for i := 0; i < rounds; i++ {
+				t1, t2 := c.NextTag(), c.NextTag()
+				if c.Rank() == 0 {
+					c.Send(1, v, t1)
+					c.Recv(1, t2)
+				} else {
+					w := c.Recv(0, t1)
+					c.Send(0, w, t2)
+				}
+			}
+		}, nil
+	case "compute":
+		in := SeededInputs(2, 2, m)
+		v0, w := in[0].(algebra.Vec), in[1]
+		acc := make(algebra.Vec, m)
+		return func(coll.Comm) {
+			copy(acc, v0)
+			// The in-place kernel, not the boxed reference: the unit
+			// must price the path the collectives actually run.
+			v := algebra.Value(acc)
+			for i := 0; i < rounds; i++ {
+				v = algebra.Add.ApplyInto(v, v, w)
+			}
+			probeSink = v
+		}, nil
+	case "bcast", "reduce", "scan":
+		v := SeededInputs(3, ranks, m)[rank]
+		return func(c coll.Comm) {
+			for i := 0; i < rounds; i++ {
+				switch probe {
+				case "bcast":
+					coll.Bcast(c, 0, v)
+				case "reduce":
+					coll.Reduce(c, 0, algebra.Add, v)
+				case "scan":
+					coll.Scan(c, algebra.Add, v)
+				}
+			}
+		}, nil
+	}
+	return nil, fmt.Errorf("mpbackend: unknown probe %q", probe)
+}
+
 // encodeResult serializes a value for the JSON result envelope using the
 // wire codec.
 func encodeResult(v algebra.Value) string {
@@ -166,9 +227,6 @@ func repTimed(p *Proc, reps int, op func()) []float64 {
 	return ns
 }
 
-// sink keeps the compute probe's result alive.
-var sink algebra.Value
-
 func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 	var ps ProbeParams
 	if err := json.Unmarshal(raw, &ps); err != nil {
@@ -177,57 +235,11 @@ func probeBody(p *Proc, raw json.RawMessage) (any, error) {
 	if ps.Reps < 1 || ps.Rounds < 1 || ps.M < 1 {
 		return nil, fmt.Errorf("mpbackend: probe needs reps, rounds and m ≥ 1")
 	}
-	var op func()
-	switch ps.Probe {
-	case "pingpong":
-		if p.Size() != 2 {
-			return nil, fmt.Errorf("mpbackend: pingpong needs exactly 2 ranks, got %d", p.Size())
-		}
-		v := SeededInputs(1, 1, ps.M)[0]
-		op = func() {
-			for i := 0; i < ps.Rounds; i++ {
-				t1, t2 := p.NextTag(), p.NextTag()
-				if p.Rank() == 0 {
-					p.Send(1, v, t1)
-					p.Recv(1, t2)
-				} else {
-					w := p.Recv(0, t1)
-					p.Send(0, w, t2)
-				}
-			}
-		}
-	case "compute":
-		in := SeededInputs(2, 2, ps.M)
-		v0, w := in[0].(algebra.Vec), in[1]
-		acc := make(algebra.Vec, ps.M)
-		op = func() {
-			copy(acc, v0)
-			v := algebra.Value(acc)
-			for i := 0; i < ps.Rounds; i++ {
-				v = algebra.Add.ApplyInto(v, v, w)
-			}
-			sink = v
-		}
-	case "bcast", "reduce", "scan":
-		blocks := SeededInputs(3, p.Size(), ps.M)
-		v := blocks[p.Rank()]
-		probe := ps.Probe
-		op = func() {
-			for i := 0; i < ps.Rounds; i++ {
-				switch probe {
-				case "bcast":
-					coll.Bcast(p, 0, v)
-				case "reduce":
-					coll.Reduce(p, 0, algebra.Add, v)
-				case "scan":
-					coll.Scan(p, algebra.Add, v)
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("mpbackend: unknown probe %q", ps.Probe)
+	op, err := ProbeKernel(ps.Probe, p.Rank(), p.Size(), ps.M, ps.Rounds)
+	if err != nil {
+		return nil, err
 	}
-	return TimingResult{RepNs: repTimed(p, ps.Reps, op)}, nil
+	return TimingResult{RepNs: repTimed(p, ps.Reps, func() { op(p) })}, nil
 }
 
 // CollectiveParams parameterizes the "collective" body: one portfolio

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,18 +51,22 @@ func TestPlanSelection(t *testing.T) {
 }
 
 // TestKeyOptsQualifiers: the select qualifier composes with the strategy
-// qualifier and leaves legacy keys unchanged.
+// qualifier, and every (strategy, select) key is byte-identical to the
+// format plans have always been cached under.
 func TestKeyOptsQualifiers(t *testing.T) {
-	m := core.Machine{Ts: 1, Tw: 2, P: 4, M: 8}
-	base := Key("prog", m)
-	if KeyOpts("prog", m, StrategyGreedy, false) != base {
-		t.Fatal("greedy unselected key must equal the legacy key")
-	}
-	sk := KeyOpts("prog", m, StrategySearch, true)
-	if !strings.Contains(sk, "|strategy=search") || !strings.Contains(sk, "|select") {
-		t.Fatalf("search+select key missing qualifiers: %q", sk)
-	}
-	if KeyOpts("prog", m, StrategyGreedy, true) == base {
-		t.Fatal("selected key must differ from the legacy key")
+	m := core.Machine{Ts: 1.5, Tw: 2, P: 4, M: 8}
+	for _, c := range []struct {
+		strat   Strategy
+		autoSel bool
+		want    string
+	}{
+		{StrategyGreedy, false, "prog|ts=1.5|tw=2|p=4|m=8"},
+		{StrategyGreedy, true, "prog|ts=1.5|tw=2|p=4|m=8|select"},
+		{StrategySearch, false, "prog|ts=1.5|tw=2|p=4|m=8|strategy=search"},
+		{StrategySearch, true, "prog|ts=1.5|tw=2|p=4|m=8|strategy=search|select"},
+	} {
+		if got := KeyOpts("prog", m, c.strat, c.autoSel); got != c.want {
+			t.Errorf("KeyOpts(%v, select=%v) = %q, want %q", c.strat, c.autoSel, got, c.want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -216,13 +217,21 @@ func (s *Server) machineFor(req Request) (core.Machine, error) {
 	return m, nil
 }
 
+// maxBodyBytes caps an /optimize request body; a larger one is refused
+// with a 413 before it is decoded in full.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return
+		}
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

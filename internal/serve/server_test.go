@@ -250,3 +250,30 @@ func TestServerFusionOverHTTP(t *testing.T) {
 		t.Errorf("non-fusible request got fusion info %+v", resp.Fusion)
 	}
 }
+
+// TestOversizedBodyRejected: a request body over the cap is refused with
+// a JSON 413 before any engine runs, and counts as an error. The program
+// itself is valid — the padding is JSON whitespace — so only the size
+// decides.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"program":"scan(+) ; reduce(+)"` + strings.Repeat(" ", 2<<20) + `}`
+	httpResp, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /optimize: %v", err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("HTTP %d for a %d-byte body, want 413", httpResp.StatusCode, len(body))
+	}
+	var msg map[string]string
+	if err := json.NewDecoder(httpResp.Body).Decode(&msg); err != nil || msg["error"] == "" {
+		t.Fatalf("413 body is not a JSON error (%v): %v", err, msg)
+	}
+	if runs := s.Planner().EngineRuns(); runs != 0 {
+		t.Fatalf("%d engine runs for a refused request", runs)
+	}
+	if errs := s.Metrics().Errors; errs != 1 {
+		t.Fatalf("errors = %d, want 1", errs)
+	}
+}

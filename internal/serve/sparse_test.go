@@ -9,6 +9,15 @@ import (
 	"repro/internal/term"
 )
 
+// planSrc parses src and plans it greedily without auto-selection.
+func planSrc(pl *Planner, src string, m core.Machine) (Plan, bool, error) {
+	t, err := pl.ParseProgram(src)
+	if err != nil {
+		return Plan{}, false, err
+	}
+	return pl.PlanTermOpts(t, m, StrategyGreedy, false)
+}
+
 // TestSparsePlanEndToEnd drives a ragged reduce_scatterv/allgatherv
 // pair through the verifying planner: the RSAG-AllReduce rewrite must
 // fire, the plan must verify (the verifier pins its machine sizes to
@@ -18,7 +27,7 @@ func TestSparsePlanEndToEnd(t *testing.T) {
 	pl := NewPlanner(16, 1)
 	m := core.Machine{Ts: 4, Tw: 1, P: 3, M: 2}
 	const src = "reduce_scatterv(+,2,0,3) ; allgatherv(2,0,3)"
-	plan, cached, err := pl.Plan(src, m)
+	plan, cached, err := planSrc(pl, src, m)
 	if err != nil {
 		t.Fatalf("sparse plan failed: %v", err)
 	}
@@ -39,7 +48,7 @@ func TestSparsePlanEndToEnd(t *testing.T) {
 		t.Fatalf("plan did not improve: %g -> %g", plan.CostBefore, plan.CostAfter)
 	}
 	// A re-spelled but canonically identical program hits the cache.
-	again, cached, err := pl.Plan("reduce_scatterv(+,2,0,3);allgatherv(2,0,3)", m)
+	again, cached, err := planSrc(pl, "reduce_scatterv(+,2,0,3);allgatherv(2,0,3)", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +74,14 @@ func TestSparseSearchPlanEscapesGreedyTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, _, err := pl.PlanTermStrategy(prog, m, StrategyGreedy)
+	greedy, _, err := pl.PlanTermOpts(prog, m, StrategyGreedy, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(greedy.Applications) != 0 {
 		t.Fatalf("greedy unexpectedly applied %v", greedy.Applications)
 	}
-	searched, cached, err := pl.PlanTermStrategy(prog, m, StrategySearch)
+	searched, cached, err := pl.PlanTermOpts(prog, m, StrategySearch, false)
 	if err != nil {
 		t.Fatal(err)
 	}
